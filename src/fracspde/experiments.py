@@ -24,6 +24,7 @@ order (in the mode count N) is 2 sigma / d.
 from __future__ import annotations
 
 import io
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -113,8 +114,9 @@ class ExperimentConfig:
             raise ValueError(f"n_traj must be >= 2, got {self.n_traj}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.noise_amplitude < 0.0:
-            raise ValueError("noise_amplitude must be >= 0")
+        if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0.0):
+            raise ValueError(f"noise_amplitude must be finite and >= 0, "
+                             f"got {self.noise_amplitude}")
         # delegate the remaining parameter validation
         self.model_params()
 
@@ -168,14 +170,22 @@ def _chunk_squared_errors(config: ExperimentConfig, trajectories) -> np.ndarray:
 
     Returns an array of shape (len(levels), len(trajectories)): entry
     [i, j] is ||u_{l_i} - u_{2 l_i}||^2 for trajectory j, where the run at
-    2 * levels[-1] is the extra refinement closing the last pair.
+    2 * levels[-1] is the extra refinement closing the last pair.  A
+    solver failure is re-raised with the level and the absolute
+    trajectory index.
     """
     params = config.model_params()
     all_levels = list(config.levels) + [2 * config.levels[-1]]
     t_final = config.t_final
     out = np.empty((len(config.levels), len(trajectories)))
 
-    first_traj = trajectories[0] if len(trajectories) else 0
+    def solve(level, disc, increments):
+        try:
+            return run_ensemble(params, disc, increments, config.noise_amplitude)
+        except SolverError as exc:
+            raise SolverError(exc.mode, exc.time_level, trajectories[exc.trajectory],
+                              context=f"level {level}: ") from exc
+
     if config.axis == "time":
         n_modes = config.fixed_other
         finest = all_levels[-1]
@@ -189,12 +199,7 @@ def _chunk_squared_errors(config: ExperimentConfig, trajectories) -> np.ndarray:
                 len(trajectories), n_steps, group, n_modes).sum(axis=2)
             disc = Discretization(n_modes=n_modes, n_steps=n_steps,
                                   tau=t_final / n_steps)
-            try:
-                final = run_ensemble(params, disc, coarse, config.noise_amplitude)
-            except SolverError as exc:
-                raise SolverError(
-                    f"level {n_steps}: {exc} [trajectory indices offset by "
-                    f"{first_traj}]") from exc
+            final = solve(n_steps, disc, coarse)
             if previous is not None:
                 out[i - 1] = np.sum((previous - final) ** 2, axis=-1)
             previous = final
@@ -207,13 +212,7 @@ def _chunk_squared_errors(config: ExperimentConfig, trajectories) -> np.ndarray:
         previous = None
         for i, n_modes in enumerate(all_levels):
             disc = Discretization(n_modes=n_modes, n_steps=n_steps, tau=tau)
-            try:
-                final = run_ensemble(params, disc, increments[:, :, :n_modes],
-                                     config.noise_amplitude)
-            except SolverError as exc:
-                raise SolverError(
-                    f"level {n_modes}: {exc} [trajectory indices offset by "
-                    f"{first_traj}]") from exc
+            final = solve(n_modes, disc, increments[:, :, :n_modes])
             if previous is not None:
                 out[i - 1] = pathwise_error(previous, final) ** 2
             previous = final

@@ -10,7 +10,10 @@ H in (0,1):
 * :func:`sample_fbm_circulant` — circulant embedding (Davies–Harte),
   O(L log L); the production sampler.  The embedding of fractional
   Gaussian noise is nonnegative definite for every H, so a materially
-  negative eigenvalue signals an implementation bug and raises.
+  negative eigenvalue signals an implementation bug and raises.  Each
+  call computes the circulant eigenvalues once and transforms all of its
+  rows with one inverse FFT; the rows come from one Generator or from a
+  sequence of Generators, one per row.
 
 Ensembles for the noise expansion W^H_Q = sum_k sqrt(Lambda_k) phi_k W^H_k
 are generated by :func:`mode_increments`: one counter-based RNG stream per
@@ -18,11 +21,15 @@ are generated by :func:`mode_increments`: one counter-based RNG stream per
 ``SeedSequence(master_seed, spawn_key=(mode, trajectory))``.  That makes
 ensembles reproducible, independent of chunking/parallel schedule, and
 subset-stable (mode k, trajectory i always sees the same path regardless
-of how many other modes or trajectories are generated).
+of how many other modes or trajectories are generated).  Each mode is one
+sampler call over the trajectories' streams; every stream still consumes
+its normals in the fixed per-row layout, so the batching does not change
+a single draw.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -33,8 +40,6 @@ __all__ = [
     "sample_fbm_cholesky",
     "sample_fbm_circulant",
     "mode_increments",
-    "dump_ensemble",
-    "load_ensemble",
 ]
 
 
@@ -83,24 +88,48 @@ def sample_fbm_cholesky(h: float, tau: float, n_steps: int,
     return rng.standard_normal((n_paths, n_steps)) @ factor.T
 
 
+def _normals(rng: np.random.Generator | Sequence[np.random.Generator],
+             n_paths: int, width: int) -> np.ndarray:
+    """(rows, width) standard normals: ``n_paths`` rows from one Generator,
+    or one row from each generator of a sequence."""
+    if isinstance(rng, np.random.Generator):
+        return rng.standard_normal((n_paths, width))
+    if n_paths != 1:
+        raise ValueError(f"n_paths must be 1 with one generator per row, got {n_paths}")
+    z = np.empty((len(rng), width))
+    for row, gen in zip(z, rng):
+        gen.standard_normal(out=row)
+    return z
+
+
 def sample_fbm_circulant(h: float, tau: float, n_steps: int,
-                         rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
-    """Davies–Harte fGn sampler; returns (n_paths, L).
+                         rng: np.random.Generator | Sequence[np.random.Generator],
+                         n_paths: int = 1) -> np.ndarray:
+    """Davies–Harte fGn sampler; returns (rows, L).
+
+    ``rng`` is either one Generator, which supplies all ``n_paths`` rows,
+    or a sequence of Generators with one output row each (then
+    ``n_paths`` must be 1).  Either way each row consumes its own 2L
+    normals, so row i of the sequence form equals a one-path call with
+    ``rng[i]``.
 
     The covariance sequence gamma(0..L) is embedded in a circulant of size
     2L whose eigenvalues (the real FFT of the first row) are provably
     nonnegative for fractional Gaussian noise; tiny negative rounding
-    residue is clamped, anything materially negative raises.
+    residue is clamped, anything materially negative raises.  The
+    eigenvalues are computed once per call and one inverse FFT transforms
+    all rows.
 
     Draw layout (fixed; part of the reproducibility contract): for each
-    path, 2L standard normals are consumed as
+    row, 2L standard normals are consumed as
     [xi_0, xi_L, Re xi_1..Re xi_{L-1}, Im xi_1..Im xi_{L-1}].
+    For L = 1 each row consumes a single normal.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     g = increment_covariance(h, tau, np.arange(n_steps + 1))
     if n_steps == 1:
-        return math.sqrt(g[0]) * rng.standard_normal((n_paths, 1))
+        return math.sqrt(g[0]) * _normals(rng, n_paths, 1)
     first_row = np.concatenate([g[:n_steps], g[n_steps:n_steps + 1], g[n_steps - 1:0:-1]])
     eigs = np.fft.fft(first_row).real
     if eigs.min() < -1e-10 * eigs.max():
@@ -109,8 +138,8 @@ def sample_fbm_circulant(h: float, tau: float, n_steps: int,
             f"{eigs.min():.3e}; the fGn embedding must be nonnegative definite")
     eigs = np.clip(eigs, 0.0, None)
     m = 2 * n_steps
-    z = rng.standard_normal((n_paths, m))
-    xi = np.empty((n_paths, m), dtype=complex)
+    z = _normals(rng, n_paths, m)
+    xi = np.empty(z.shape, dtype=complex)
     xi[:, 0] = math.sqrt(m) * z[:, 0]
     xi[:, n_steps] = math.sqrt(m) * z[:, 1]
     xi[:, 1:n_steps] = math.sqrt(m / 2.0) * (z[:, 2:n_steps + 1] + 1j * z[:, n_steps + 1:])
@@ -133,64 +162,13 @@ def mode_increments(h: float, tau: float, n_steps: int, master_seed: int,
     ``trajectories[i]``.  Increments are *unit-amplitude*: the noise
     spectral weights sqrt(Lambda_k) are applied by the solver, so the same
     ensemble can be reused across different m.
+
+    One sampler call per mode draws all trajectories of that mode, each
+    from its own (mode, trajectory) stream.
     """
     trajectories = list(trajectories)
     out = np.empty((len(trajectories), n_steps, n_modes))
-    for ki in range(n_modes):
-        for i, traj in enumerate(trajectories):
-            rng = _stream(master_seed, ki + 1, traj)
-            out[i, :, ki] = sample_fbm_circulant(h, tau, n_steps, rng, 1)[0]
+    for k in range(1, n_modes + 1):
+        streams = [_stream(master_seed, k, traj) for traj in trajectories]
+        out[:, :, k - 1] = sample_fbm_circulant(h, tau, n_steps, streams)
     return out
-
-
-# ---------------------------------------------------------------------------
-# binary ensemble dump (little-endian float64, mode-major), for resumability
-
-_MAGIC = b"FBME"
-_HEADER_DTYPE = np.dtype([
-    ("hurst", "<f8"), ("tau", "<f8"),
-    ("n_steps", "<u8"), ("n_modes", "<u8"), ("n_traj", "<u8"), ("seed", "<u8"),
-])
-
-
-def dump_ensemble(path, increments: np.ndarray, h: float, tau: float,
-                  master_seed: int) -> None:
-    """Write an ensemble (n_traj, L, n_modes) to ``path``.
-
-    Layout: 4-byte magic ``FBME``, a packed little-endian header
-    (hurst f8, tau f8, n_steps u8, n_modes u8, n_traj u8, seed u8), then
-    the increments as float64 in mode-major order (mode, trajectory, step).
-    """
-    increments = np.asarray(increments, dtype=float)
-    n_traj, n_steps, n_modes = increments.shape
-    header = np.array([(h, tau, n_steps, n_modes, n_traj, master_seed)],
-                      dtype=_HEADER_DTYPE)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(header.tobytes())
-        fh.write(np.ascontiguousarray(
-            increments.transpose(2, 0, 1)).astype("<f8").tobytes())
-
-
-def load_ensemble(path):
-    """Read a dump written by :func:`dump_ensemble`.
-
-    Returns (increments, meta) with increments shaped (n_traj, L, n_modes)
-    and meta a dict of the header fields.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not an fBm ensemble dump (bad magic {magic!r})")
-        header = np.frombuffer(fh.read(_HEADER_DTYPE.itemsize), dtype=_HEADER_DTYPE)[0]
-        n_steps, n_modes, n_traj = (int(header["n_steps"]), int(header["n_modes"]),
-                                    int(header["n_traj"]))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    expected = n_modes * n_traj * n_steps
-    if payload.size != expected:
-        raise ValueError(f"{path}: truncated payload ({payload.size} of {expected} values)")
-    increments = payload.reshape(n_modes, n_traj, n_steps).transpose(1, 2, 0).copy()
-    meta = {"hurst": float(header["hurst"]), "tau": float(header["tau"]),
-            "n_steps": n_steps, "n_modes": n_modes, "n_traj": n_traj,
-            "seed": int(header["seed"])}
-    return increments, meta

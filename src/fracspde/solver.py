@@ -21,6 +21,7 @@ the convergence studies use.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,10 @@ class ModelParams:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must be in the open interval (0, 1), got {v}")
-        if self.t_final <= 0.0:
-            raise ValueError(f"t_final must be positive, got {self.t_final}")
+        if not math.isfinite(self.m):
+            raise ValueError(f"m must be finite, got {self.m}")
+        if not (math.isfinite(self.t_final) and self.t_final > 0.0):
+            raise ValueError(f"t_final must be positive and finite, got {self.t_final}")
         if isinstance(self.nonlinearity, str):
             if self.nonlinearity not in _NONLINEARITIES:
                 raise ValueError(
@@ -99,7 +102,19 @@ class Discretization:
 
 
 class SolverError(RuntimeError):
-    pass
+    """A state coefficient became non-finite.
+
+    ``mode`` (1-based) and ``time_level`` locate the first bad entry;
+    ``trajectory`` is its row in the batch given to the stepper, or None
+    for a single path.  ``context`` prefixes the message.
+    """
+
+    def __init__(self, mode: int, time_level: int, trajectory: int | None = None,
+                 context: str = ""):
+        self.mode, self.time_level, self.trajectory = mode, time_level, trajectory
+        where = "" if trajectory is None else f"trajectory {trajectory}, "
+        super().__init__(f"{context}non-finite coefficient in {where}mode {mode} "
+                         f"at time level {time_level}")
 
 
 def noise_increment_field(increment_row: np.ndarray, m: float, tau: float) -> np.ndarray:
@@ -155,7 +170,7 @@ def run_trajectory(params: ModelParams, disc: Discretization,
         states[n] = step(states[:n], weights, lam_s, tau, fterm, noise)
         if not np.all(np.isfinite(states[n])):
             bad = int(np.flatnonzero(~np.isfinite(states[n]))[0])
-            raise SolverError(f"non-finite coefficient in mode {bad + 1} at time level {n}")
+            raise SolverError(bad + 1, n)
     return states
 
 
@@ -195,9 +210,7 @@ def run_ensemble(params: ModelParams, disc: Discretization,
         states[n] = rhs / denom
         if not np.all(np.isfinite(states[n])):
             bad = int(np.flatnonzero(~np.isfinite(states[n]))[0])
-            raise SolverError(
-                f"non-finite coefficient in mode {bad % n_modes + 1} at time level {n} "
-                f"(trajectory {bad // n_modes})")
+            raise SolverError(bad % n_modes + 1, n, bad // n_modes)
     return states[n_steps].reshape(n_traj, n_modes)
 
 

@@ -65,6 +65,13 @@ def test_validation_names_offending_key():
         parse_config(MINIMAL.replace("hurst = 0.3", "hurst = 0"))
 
 
+@pytest.mark.parametrize("key, raw", [("m", "nan"), ("m", "inf"),
+                                      ("t_final", "inf"), ("t_final", "nan")])
+def test_validation_rejects_non_finite_values(key, raw):
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        parse_config(MINIMAL, overrides=(f"{key}={raw}",))
+
+
 def test_overrides_supersede_file_values():
     cfg = parse_config(MINIMAL, overrides=("n_traj=4", "hurst=0.8"))
     assert cfg.n_traj == 4

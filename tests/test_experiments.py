@@ -14,7 +14,7 @@ from fracspde.experiments import (
     predict_rates,
     run_convergence_study,
 )
-from fracspde.solver import ModelParams
+from fracspde.solver import ModelParams, SolverError
 
 
 def _config(**kw):
@@ -162,6 +162,24 @@ def test_study_space_axis():
     assert res.theoretical_rate == pytest.approx(1.4)
     assert len(res.rows) == 3
     assert res.rows[0].observed_rate is not None
+
+
+@pytest.mark.parametrize("axis, level", [("time", 4), ("space", 2)])
+def test_solver_error_names_absolute_trajectory(axis, level):
+    # trajectories 25..29 form the second batch; row 3 of it is trajectory 28
+    def blow_up_second_batch(u):
+        out = np.sin(u)
+        if u.shape[0] == 5:
+            out[3] = np.inf
+        return out
+
+    cfg = _config(axis=axis, levels=(level, 2 * level), n_traj=30,
+                  nonlinearity=blow_up_second_batch)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(SolverError, match=(
+                f"^level {level}: non-finite coefficient in trajectory 28, "
+                f"mode 1 at time level 1$")):
+            run_convergence_study(cfg, threads=1)
 
 
 def test_threads_validation():

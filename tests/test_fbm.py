@@ -178,22 +178,38 @@ def test_mode_increments_seed_sensitivity():
     assert not np.array_equal(a, b)
 
 
-def test_ensemble_dump_round_trip(tmp_path):
-    inc = fbm.mode_increments(0.7, 0.02, 6, 9, 4, range(3))
-    path = tmp_path / "ens.bin"
-    fbm.dump_ensemble(path, inc, 0.7, 0.02, 9)
-    loaded, meta = fbm.load_ensemble(path)
-    np.testing.assert_array_equal(loaded, inc)
-    assert meta["hurst"] == 0.7
-    assert meta["tau"] == 0.02
-    assert meta["n_steps"] == 6
-    assert meta["n_modes"] == 4
-    assert meta["n_traj"] == 3
-    assert meta["seed"] == 9
+@pytest.mark.parametrize("n_steps", [1, 2, 33, 256])
+def test_mode_increments_match_per_stream_sampler(n_steps):
+    # oracle: one single-Generator call per (mode, trajectory) stream
+    h, tau, seed, n_modes, trajectories = 0.7, 0.01 / n_steps, 17, 3, [5, 0, 9]
+    batched = fbm.mode_increments(h, tau, n_steps, seed, n_modes, trajectories)
+    for k in range(1, n_modes + 1):
+        rows = np.vstack([fbm.sample_fbm_circulant(
+            h, tau, n_steps, fbm._stream(seed, k, traj), 1)
+            for traj in trajectories])
+        np.testing.assert_array_equal(batched[:, :, k - 1], rows)
 
 
-def test_ensemble_dump_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\0" * 64)
-    with pytest.raises(ValueError):
-        fbm.load_ensemble(path)
+@pytest.mark.parametrize("n_steps", [1, 16])
+def test_generator_list_of_one_matches_single_generator(n_steps):
+    single = fbm.sample_fbm_circulant(0.4, 0.1, n_steps, np.random.default_rng(3), 1)
+    listed = fbm.sample_fbm_circulant(0.4, 0.1, n_steps, [np.random.default_rng(3)])
+    np.testing.assert_array_equal(listed, single)
+
+
+def test_generator_list_rejects_several_paths_per_row():
+    with pytest.raises(ValueError, match="n_paths"):
+        fbm.sample_fbm_circulant(0.4, 0.1, 8, [np.random.default_rng(3)], 2)
+
+
+def test_generator_list_still_checks_negative_eigenvalues(monkeypatch):
+    # gamma = (1, 2, 0, ...) embeds in a circulant with eigenvalue 1 - 4 < 0
+    def not_psd(h, tau, lag):
+        g = np.zeros(len(lag))
+        g[0], g[1] = 1.0, 2.0
+        return g
+
+    monkeypatch.setattr(fbm, "increment_covariance", not_psd)
+    rngs = [np.random.default_rng(i) for i in range(3)]
+    with pytest.raises(ValueError, match="nonnegative definite"):
+        fbm.sample_fbm_circulant(0.5, 1.0, 8, rngs)

@@ -23,7 +23,6 @@ order (in the mode count N) is 2 sigma / d.
 """
 from __future__ import annotations
 
-import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -280,7 +279,7 @@ def emit_table(result: StudyResult, destination) -> None:
         lines.append(",".join([str(row.level), _fmt(row.error),
                                _fmt(row.observed_rate), _fmt(theo)]))
     text = "\n".join(lines) + "\n"
-    if isinstance(destination, io.TextIOBase) or hasattr(destination, "write"):
+    if hasattr(destination, "write"):
         destination.write(text)
     else:
         with open(destination, "w", newline="") as fh:

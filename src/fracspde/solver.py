@@ -12,7 +12,10 @@ Per mode k the update from u^{n-1} to u^n solves
 with d_i the CQ weights of order 1-alpha.  The implicit factor is a
 per-mode positive scalar, so no linear algebra beyond a division is
 needed.  The nonlinear term is evaluated pseudo-spectrally (synthesize on
-a 2x-oversampled grid, apply f pointwise, project back).
+a 2x-oversampled grid of M = 2N nodes, apply f pointwise, project back).
+``spectral`` does both transforms as products with a cached sine matrix
+up to M = 512 (N = 256) and as DST-I above; both are exact on the same
+grid and quadrature, so the choice only moves rounding.
 
 ``run_trajectory`` advances one path and keeps the whole history;
 ``run_ensemble`` advances a batch of trajectories in lockstep with the
@@ -32,7 +35,6 @@ __all__ = [
     "ModelParams",
     "Discretization",
     "SolverError",
-    "noise_increment_field",
     "step",
     "run_trajectory",
     "run_ensemble",
@@ -93,8 +95,8 @@ class Discretization:
     def __post_init__(self):
         if self.n_modes < 1 or self.n_steps < 1:
             raise ValueError("n_modes and n_steps must be >= 1")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
     @property
     def t_final(self) -> float:
@@ -115,18 +117,6 @@ class SolverError(RuntimeError):
         where = "" if trajectory is None else f"trajectory {trajectory}, "
         super().__init__(f"{context}non-finite coefficient in {where}mode {mode} "
                          f"at time level {time_level}")
-
-
-def noise_increment_field(increment_row: np.ndarray, m: float, tau: float) -> np.ndarray:
-    """Discrete noise forcing sqrt(k^m) * dW_k / tau for one time level.
-
-    ``increment_row`` holds the raw (unit-amplitude) fGn increments of
-    modes 1..N at that level.
-    """
-    increment_row = np.asarray(increment_row, dtype=float)
-    n = increment_row.shape[-1]
-    amp = np.arange(1, n + 1, dtype=float) ** (0.5 * m)
-    return amp * increment_row / tau
 
 
 def step(history: np.ndarray, weights: np.ndarray, lam_s: np.ndarray, tau: float,

@@ -8,18 +8,27 @@ coefficients.
 
 Grid convention
 ---------------
-All grid-based operations use M interior nodes x_j = j/(M+1), j = 1..M.
-On that grid the type-I discrete sine transform diagonalizes projection and
-synthesis, making ``project`` and ``synthesize`` exact inverses on
-span{phi_1..phi_N} whenever N <= M, and giving the quadrature rule
-int_0^1 u v dx ~= (1/(M+1)) * sum_j u(x_j) v(x_j), which is exact on the
-resolved span.
+All grid-based operations use M interior nodes x_j = j/(M+1), j = 1..M,
+and the quadrature rule int_0^1 u v dx ~= (1/(M+1)) * sum_j u(x_j) v(x_j).
+On that grid ``project`` and ``synthesize`` are the type-I discrete sine
+transform, which makes them exact inverses on span{phi_1..phi_N} whenever
+N <= M, with the quadrature exact on the resolved span.
+
+Both evaluate the same sums in one of two ways.  Up to
+``_DENSE_MAX_POINTS`` grid nodes they multiply by the cached sine matrix
+B[k-1, j-1] = phi_k(x_j), shape (N, M): synthesis is c @ B and projection
+is v @ B.T / (M+1).  Above it they call scipy's DST-I, an FFT of length
+2(M+1).  Both are exact on the same grid and quadrature and agree to
+rounding (~1e-15 relative).  The crossover, M = 512, is where the measured
+cost of the full nonlinear term (synthesize, f, project) changes sides on
+grids whose DST-I length factors well; BENCH_3.json holds the table.
 
 Projecting a *nonlinear* function of a field is only alias-free when the
 grid oversamples the modes; ``project`` therefore rejects N > M/2.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,14 +37,27 @@ from scipy.fft import dst
 __all__ = [
     "eigenvalue",
     "eigenvalues",
-    "eigenfunction_at",
     "grid_nodes",
     "project",
     "synthesize",
-    "apply_fractional_laplacian",
 ]
 
 _SQRT2 = math.sqrt(2.0)
+
+#: largest grid (M nodes) on which the transforms use the dense sine
+#: matrix rather than the DST-I; measured crossover, see BENCH_3.json.
+_DENSE_MAX_POINTS = 512
+
+
+@functools.lru_cache(maxsize=16)
+def _sine_matrix(n_modes: int, n_points: int) -> np.ndarray:
+    """Read-only B[k-1, j-1] = sqrt(2)*sin(pi*k*j/(M+1)), shape (N, M)."""
+    period = 2 * (n_points + 1)
+    # k*j reduced mod the period keeps the sine arguments in [0, 2*pi)
+    phase = np.outer(np.arange(1, n_modes + 1), np.arange(1, n_points + 1)) % period
+    mat = _SQRT2 * np.sin(phase * (math.pi / (n_points + 1)))
+    mat.setflags(write=False)
+    return mat
 
 
 def eigenvalue(k: int) -> float:
@@ -56,17 +78,6 @@ def eigenvalues(n_modes: int) -> np.ndarray:
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     return (np.arange(1, n_modes + 1) * math.pi) ** 2
-
-
-def eigenfunction_at(k: int, x) -> float | np.ndarray:
-    """phi_k(x) = sqrt(2)*sin(k*pi*x) for x in [0, 1] (scalar or array)."""
-    if k < 1:
-        raise ValueError(f"mode index must be >= 1, got {k}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("evaluation point outside [0, 1]")
-    out = _SQRT2 * np.sin(k * math.pi * x)
-    return float(out) if out.ndim == 0 else out
 
 
 def grid_nodes(n_points: int) -> np.ndarray:
@@ -95,6 +106,8 @@ def project(grid_values: np.ndarray, n_modes: int) -> np.ndarray:
         raise ValueError(
             f"n_modes={n_modes} exceeds the alias-free capacity M/2={m / 2:g} "
             f"of a grid with {m} nodes")
+    if m <= _DENSE_MAX_POINTS:
+        return grid_values @ _sine_matrix(n_modes, m).T / (m + 1)
     return dst(grid_values, type=1, axis=-1)[..., :n_modes] / (_SQRT2 * (m + 1))
 
 
@@ -108,18 +121,8 @@ def synthesize(coeffs: np.ndarray, n_points: int) -> np.ndarray:
     n = coeffs.shape[-1]
     if n_points < n:
         raise ValueError(f"grid with {n_points} nodes cannot carry {n} modes")
+    if n_points <= _DENSE_MAX_POINTS:
+        return coeffs @ _sine_matrix(n, n_points)
     padded = np.zeros(coeffs.shape[:-1] + (n_points,))
     padded[..., :n] = coeffs
     return dst(padded, type=1, axis=-1) / _SQRT2
-
-
-def apply_fractional_laplacian(coeffs: np.ndarray, s: float) -> np.ndarray:
-    """A^s in coefficient space: coeffs[k] -> lambda_k^s * coeffs[k].
-
-    The spectral fractional Laplacian is diagonal in the sine basis, so
-    this is an elementwise scaling by (k*pi)^(2s).
-    """
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"fractional order s must be in (0, 1], got {s}")
-    coeffs = np.asarray(coeffs, dtype=float)
-    return coeffs * eigenvalues(coeffs.shape[-1]) ** s

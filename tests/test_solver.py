@@ -37,14 +37,10 @@ def test_discretization_validation():
     assert d.t_final == pytest.approx(1.0)
 
 
-def test_noise_increment_field():
-    row = np.array([1.0, -2.0, 0.5, 4.0])
-    out = solver.noise_increment_field(row, 0.0, 0.1)
-    np.testing.assert_allclose(out, row / 0.1, rtol=1e-15)
-    out = solver.noise_increment_field(row, -1.0, 0.1)
-    assert out[3] == pytest.approx(0.5 * 4.0 / 0.1)   # sqrt(1/4) amplitude
-    np.testing.assert_array_equal(
-        solver.noise_increment_field(np.zeros(4), -1.0, 0.1), np.zeros(4))
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_discretization_rejects_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="tau"):
+        Discretization(n_modes=4, n_steps=4, tau=tau)
 
 
 def test_first_step_hand_value():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import dst
 
 from fracspde import spectral
 
@@ -14,24 +15,15 @@ def test_eigenvalues():
 
 
 def test_eigenfunction_values():
-    # sqrt(2) sin(k pi x): mode 1 peaks at x=1/2, vanishes at endpoints
-    assert spectral.eigenfunction_at(1, 0.5) == pytest.approx(np.sqrt(2.0))
-    assert spectral.eigenfunction_at(1, 0.0) == 0.0
-    assert spectral.eigenfunction_at(2, 0.5) == pytest.approx(0.0, abs=1e-15)
-    # orthonormality on a fine grid (trapezoid with zero boundary values)
-    x = spectral.grid_nodes(4095)
-    w = 1.0 / 4096
-    for k, l in [(1, 1), (2, 5), (3, 3)]:
-        ip = np.sum(spectral.eigenfunction_at(k, x) *
-                    spectral.eigenfunction_at(l, x)) * w
-        assert ip == pytest.approx(1.0 if k == l else 0.0, abs=1e-12)
-
-
-def test_eigenfunction_domain_errors():
-    with pytest.raises(ValueError):
-        spectral.eigenfunction_at(0, 0.5)
-    with pytest.raises(ValueError):
-        spectral.eigenfunction_at(1, 1.5)
+    # B[k-1, j-1] = phi_k(x_j) = sqrt(2) sin(k pi x_j); x_4 = 1/2 on 7 nodes
+    b = spectral._sine_matrix(2, 7)
+    assert b[0, 3] == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert b[1, 3] == pytest.approx(0.0, abs=1e-15)
+    # discrete orthonormality under the grid quadrature, on the matrix the
+    # dense transforms use
+    for n, m in [(1, 2), (7, 16), (64, 128), (128, 256), (256, 512)]:
+        b = spectral._sine_matrix(n, m)
+        np.testing.assert_allclose(b @ b.T / (m + 1), np.eye(n), rtol=0, atol=1e-12)
 
 
 def test_grid_nodes():
@@ -79,18 +71,6 @@ def test_synthesize_rejects_too_few_points():
         spectral.synthesize(np.ones(8), 4)
 
 
-def test_apply_fractional_laplacian():
-    coeffs = np.array([1.0, 2.0, 0.0, -1.0])
-    out = spectral.apply_fractional_laplacian(coeffs, 0.5)
-    lam = spectral.eigenvalues(4)
-    np.testing.assert_allclose(out, coeffs * lam ** 0.5, rtol=1e-14)
-    with pytest.raises(ValueError):
-        spectral.apply_fractional_laplacian(coeffs, 1.5)
-    # s=1 is the plain Laplacian
-    out1 = spectral.apply_fractional_laplacian(coeffs, 1.0)
-    np.testing.assert_allclose(out1, coeffs * lam, rtol=1e-14)
-
-
 def test_batched_shapes():
     rng = np.random.default_rng(5)
     coeffs = rng.standard_normal((3, 7, 8))
@@ -108,3 +88,61 @@ def test_round_trip_property(n_modes, seed):
     m = 2 * n_modes + rng.integers(0, 5)
     back = spectral.project(spectral.synthesize(coeffs, m), n_modes)
     np.testing.assert_allclose(back, coeffs, atol=1e-12)
+
+
+_DENSE = spectral._DENSE_MAX_POINTS
+
+
+def _assert_close_to_scale(actual, expected, rtol=1e-13):
+    # relative to the largest entry: single sums of O(M) terms cancel to
+    # ~1e-3 of the scale, where elementwise rtol would measure only that
+    np.testing.assert_allclose(actual, expected, rtol=rtol,
+                               atol=rtol * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("leading", [(), (25,), (3, 4)])
+@pytest.mark.parametrize("m_extra", [0, 2])
+@pytest.mark.parametrize("n_modes", [1, 7, 64, 100, 128])
+def test_transforms_match_scipy_dst_oracle(n_modes, m_extra, leading):
+    # M on both sides of the crossover: the dense matrix at the constant,
+    # the DST-I on the next even grid above it
+    m = _DENSE + m_extra
+    rng = np.random.default_rng(n_modes + m)
+    coeffs = rng.standard_normal(leading + (n_modes,))
+    padded = np.zeros(leading + (m,))
+    padded[..., :n_modes] = coeffs
+    values = spectral.synthesize(coeffs, m)
+    expected = dst(padded, type=1, axis=-1) / np.sqrt(2.0)
+    assert values.shape == expected.shape
+    _assert_close_to_scale(values, expected)
+    grid = np.sin(values)               # a nonlinear field, as in the solver
+    back = spectral.project(grid, n_modes)
+    expected = dst(grid, type=1, axis=-1)[..., :n_modes] / (np.sqrt(2.0) * (m + 1))
+    assert back.shape == expected.shape
+    _assert_close_to_scale(back, expected)
+
+
+def test_sine_matrix_is_cached_read_only():
+    b = spectral._sine_matrix(8, 16)
+    assert spectral._sine_matrix(8, 16) is b
+    assert not b.flags.writeable
+    with pytest.raises(ValueError):
+        b[0, 0] = 1.0
+    coeffs = np.random.default_rng(2).standard_normal((3, 8))
+    values = spectral.synthesize(coeffs, 16)
+    first = values.copy()
+    values[...] = np.nan
+    np.testing.assert_array_equal(spectral.synthesize(coeffs, 16), first)
+    back = spectral.project(first, 8)
+    kept = back.copy()
+    back[...] = np.nan
+    np.testing.assert_array_equal(spectral.project(first, 8), kept)
+
+
+def test_dense_project_rejects_aliased_request():
+    with pytest.raises(ValueError, match="alias-free"):
+        spectral.project(np.zeros(_DENSE), _DENSE // 2 + 1)
+    with pytest.raises(ValueError, match="alias-free"):
+        spectral.project(np.zeros((25, 31)), 16)
+    with pytest.raises(ValueError):
+        spectral.synthesize(np.ones(_DENSE + 1), _DENSE)

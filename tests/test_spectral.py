@@ -94,8 +94,9 @@ _DENSE = spectral._DENSE_MAX_POINTS
 
 
 def _assert_close_to_scale(actual, expected, rtol=1e-13):
-    # relative to the largest entry: single sums of O(M) terms cancel to
-    # ~1e-3 of the scale, where elementwise rtol would measure only that
+    # also relative to the largest entry: a few entries are sums that
+    # cancel to ~1e-3 of the array's scale, and their rounding error is set
+    # by that scale, not by their own size
     np.testing.assert_allclose(actual, expected, rtol=rtol,
                                atol=rtol * np.max(np.abs(expected)))
 

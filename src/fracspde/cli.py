@@ -193,6 +193,26 @@ def _selftest_cq() -> str:
     return f"recurrence vs series, rel {worst:.2e}"
 
 
+def _selftest_cq_history() -> str:
+    n_steps, width = 64, 16
+    weights = cq.cq_weights(0.4, 0.01, n_steps)
+    history = np.random.default_rng(4321).standard_normal((n_steps, width))
+    lags = np.subtract.outer(np.arange(n_steps), np.arange(n_steps))
+    toeplitz = np.where(lags >= 0, weights[lags], 0.0)   # row n: sum_i d_i u^{n+1-i}
+    expect = toeplitz @ history
+    got = np.array([cq.apply_cq_history(weights, history[:n + 1])
+                    for n in range(n_steps)])
+    rel = float(np.max(np.abs(got - expect)) / np.max(np.abs(expect)))
+    if rel > 1e-13:
+        raise AssertionError(f"dense Toeplitz mismatch, rel {rel:.2e}")
+    for cols in (slice(0, 1), slice(3, 8)):
+        if not np.array_equal(cq.apply_cq_history(weights, history[:, cols]),
+                              got[-1, cols]):
+            raise AssertionError(f"columns {cols.start}..{cols.stop - 1} change "
+                                 f"with the batch width")
+    return f"dense Toeplitz rel {rel:.2e}, width independent"
+
+
 def _selftest_mlf() -> str:
     checks = [
         (1.0, 1.0, -1.0, math.exp(-1.0)),
@@ -231,6 +251,7 @@ def _cmd_selftest(spec: RunSpec) -> int:
     suites = [
         ("fbm sampler statistics", _selftest_fbm),
         ("cq weight table", _selftest_cq),
+        ("cq history kernel", _selftest_cq_history),
         ("mittag-leffler values", _selftest_mlf),
         ("scalar solver order", _selftest_solver_order),
     ]

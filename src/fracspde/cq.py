@@ -6,12 +6,15 @@ with step tau uses the coefficients of ((1-z)/tau)^a:
     ((1-z)/tau)^a = sum_{j>=0} d_j z^j,
     d_j = tau^(-a) * (-1)^j * binom(a, j).
 
-``cq_weights`` computes them by the stable two-term recurrence; the two
-``weights_by_*`` functions are independent oracles (power-series
-composition in high precision, and FFT coefficient extraction on a circle)
-kept for the self-test and the test suite.
+``cq_weights`` computes them by the stable two-term recurrence;
+``apply_cq_history`` is the history sum of the single-path stepper
+(``solver.step``).  The two ``weights_by_*`` functions are independent
+oracles (power-series composition in high precision, and FFT coefficient
+extraction on a circle) kept for the self-test and the test suite.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,8 +34,8 @@ def cq_weights(a: float, tau: float, n_weights: int) -> np.ndarray:
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"quadrature order must be in (0, 1), got {a}")
-    if tau <= 0.0:
-        raise ValueError(f"step size must be positive, got {tau}")
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if n_weights < 1:
         raise ValueError(f"n_weights must be >= 1, got {n_weights}")
     w = np.empty(n_weights)
@@ -42,14 +45,22 @@ def cq_weights(a: float, tau: float, n_weights: int) -> np.ndarray:
     return w * tau ** (-a)
 
 
-def apply_cq_history(weights: np.ndarray, history: np.ndarray) -> float:
-    """sum_{i=0}^{n-1} d_i * u^{n-i} for history = [u^1, ..., u^n]."""
+def apply_cq_history(weights: np.ndarray, history: np.ndarray) -> np.ndarray:
+    """sum_{i=0}^{n-1} d_i * u^{n-i} for history = [u^1, ..., u^n].
+
+    ``history`` has shape (n, ...); the sum runs over the first axis and
+    keeps the trailing ones (a 1-D history gives a numpy scalar).  The
+    terms are added in the order i = 0, 1, ..., n-1 for every trailing
+    entry, so a column's result does not depend on how many columns are
+    passed with it.  A BLAS product gives no such guarantee, and on a
+    reversed (negative-stride) view numpy falls back to a slow scalar loop.
+    """
     history = np.asarray(history, dtype=float)
     n = history.shape[0]
     if n > weights.shape[0]:
         raise ValueError(
             f"history of length {n} exceeds weight table of length {weights.shape[0]}")
-    return float(np.dot(weights[:n], history[::-1]))
+    return np.einsum("i,i...->...", weights[:n], history[::-1])
 
 
 def weights_by_series(a: float, tau: float, n_weights: int, dps: int = 50) -> np.ndarray:

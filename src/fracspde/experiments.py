@@ -118,6 +118,28 @@ class ExperimentConfig:
                              f"got {self.noise_amplitude}")
         # delegate the remaining parameter validation
         self.model_params()
+        self._check_memory()
+
+    def _check_memory(self) -> None:
+        """Reject a study whose per-chunk arrays cannot fit in physical memory.
+
+        The largest arrays of one chunk are its increments, noise forcing
+        and states, each about 8 B x (L+1) x chunk x N at the finest step
+        count L and the widest mode count N.
+        """
+        finest = 2 * self.levels[-1]
+        n_steps, n_modes = ((finest, self.fixed_other) if self.axis == "time"
+                            else (self.fixed_other, finest))
+        needed = 3 * 8 * (n_steps + 1) * min(self.n_traj, _CHUNK) * n_modes
+        try:
+            physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):   # platform does not say
+            return
+        if needed > physical:
+            raise ValueError(
+                f"levels too large: L={n_steps} steps x N={n_modes} modes needs "
+                f"about {needed} bytes per chunk, more than the {physical} bytes "
+                f"of physical memory")
 
     def model_params(self) -> ModelParams:
         return ModelParams(alpha=self.alpha, s=self.s, hurst=self.hurst,

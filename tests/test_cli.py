@@ -174,5 +174,6 @@ def test_invalid_override_returns_nonzero(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert cli.run(RunSpec(command="selftest")) == 0
     out = capsys.readouterr().out
-    assert out.count("ok ") >= 4
+    assert out.count("ok ") >= 5
+    assert "ok   cq history kernel: " in out
     assert "selftest passed" in out

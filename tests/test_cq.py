@@ -98,6 +98,47 @@ def test_apply_history_rejects_short_table():
     w = cq.cq_weights(0.5, 1.0, 4)
     with pytest.raises(ValueError):
         cq.apply_cq_history(w, np.ones(5))
+    with pytest.raises(ValueError, match="exceeds weight table"):
+        cq.apply_cq_history(w, np.ones((5, 3)))
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_weights_reject_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="tau"):
+        cq.cq_weights(0.5, tau, 4)
+
+
+@pytest.mark.parametrize("trailing", [(3,), (2, 5)])
+def test_apply_history_batched_matches_dense_toeplitz(trailing):
+    rng = np.random.default_rng(23)
+    w = cq.cq_weights(0.35, 0.01, 40)
+    n = 33
+    history = rng.standard_normal((n,) + trailing)
+    toe = np.zeros((n, n))
+    for r in range(n):
+        toe[r, :r + 1] = w[r::-1]
+    expect = np.tensordot(toe, history, axes=1)
+    # relative to the sum of |terms|: some entries cancel, and BLAS in the
+    # oracle adds in another order
+    scale = np.tensordot(np.abs(toe), np.abs(history), axes=1)
+    for k in range(n):
+        got = cq.apply_cq_history(w, history[:k + 1])
+        assert got.shape == trailing
+        assert np.all(np.abs(got - expect[k]) <= 1e-14 * scale[k])
+
+
+@pytest.mark.parametrize("width", [1, 3, 128])
+def test_apply_history_columns_do_not_depend_on_width(width):
+    rng = np.random.default_rng(width)
+    w = cq.cq_weights(0.6, 0.002, 300)
+    history = rng.standard_normal((300, width))
+    for n in (1, 2, 17, 300):
+        batched = cq.apply_cq_history(w, history[:n])
+        single = np.array([cq.apply_cq_history(w, history[:n, j])
+                           for j in range(width)])
+        np.testing.assert_array_equal(batched, single)
+    stacked = cq.apply_cq_history(w, history.reshape(300, 1, width))
+    np.testing.assert_array_equal(stacked[0], cq.apply_cq_history(w, history))
 
 
 def test_riemann_liouville_derivative_of_t():

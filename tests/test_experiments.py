@@ -123,6 +123,19 @@ def test_config_bounds():
         _config(fixed_other=0)
 
 
+@pytest.mark.parametrize("axis, levels, fixed_other, n_steps, n_modes", [
+    ("time", (2 ** 39, 2 ** 40), 8, 2 ** 41, 8),
+    ("space", (2 ** 40,), 16, 16, 2 ** 41),
+])
+def test_config_rejects_arrays_beyond_physical_memory(axis, levels, fixed_other,
+                                                      n_steps, n_modes):
+    needed = 3 * 8 * (n_steps + 1) * 6 * n_modes     # n_traj=6 < one chunk
+    with pytest.raises(ValueError,
+                       match=f"L={n_steps} steps x N={n_modes} modes needs "
+                             f"about {needed} bytes"):
+        _config(axis=axis, levels=levels, fixed_other=fixed_other)
+
+
 # ---------------------------------------------------------------------------
 # study behaviour
 

@@ -177,6 +177,42 @@ def test_overflow_raises_with_location():
             solver.run_ensemble(params, disc, bad[None], noise_amplitude=1e10)
 
 
+def test_single_path_error_locates_mode_and_level():
+    params = _params(m=0.0)
+    disc = Discretization(n_modes=3, n_steps=4, tau=0.001)
+    bad = np.zeros((4, 3))
+    bad[1, 1] = 1e308          # mode 2 overflows at time level 2
+    with np.errstate(over="ignore"):
+        with pytest.raises(SolverError) as info:
+            solver.run_trajectory(params, disc, bad, noise_amplitude=1e10)
+    err = info.value
+    assert (err.trajectory, err.mode, err.time_level) == (None, 2, 2)
+    assert str(err) == "non-finite coefficient in mode 2 at time level 2"
+
+
+def test_run_trajectory_keeps_history_summation_order():
+    # the history sum must add d_1 u^{n-1} first, exactly as the original
+    # matrix-vector step written out here
+    params = _params()
+    n_steps, n_modes = 64, 8
+    tau = 0.01 / n_steps
+    disc = Discretization(n_modes, n_steps, tau)
+    inc = fbm.mode_increments(params.hurst, tau, n_steps, 4, n_modes, [0])[0]
+    lam_s = spectral.eigenvalues(n_modes) ** params.s
+    weights = cq.cq_weights(1.0 - params.alpha, tau, n_steps)
+    amp = 1.0 * np.arange(1, n_modes + 1, dtype=float) ** (0.5 * params.m)
+    states = np.zeros((n_steps + 1, n_modes))
+    for n in range(1, n_steps + 1):
+        history = states[:n]
+        fterm = spectral.project(np.sin(spectral.synthesize(history[n - 1], 2 * n_modes)),
+                                 n_modes)
+        hist_sum = weights[1:n] @ history[:0:-1] if n > 1 else 0.0
+        rhs = (history[n - 1] / tau - lam_s * hist_sum + fterm
+               + amp * inc[n - 1] / tau)
+        states[n] = rhs / (1.0 / tau + weights[0] * lam_s)
+    np.testing.assert_array_equal(solver.run_trajectory(params, disc, inc), states)
+
+
 def test_shape_validation():
     params = _params()
     disc = Discretization(n_modes=4, n_steps=6, tau=0.001)

@@ -297,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
         p.add_argument("--threads", type=int, default=None,
-                       help="max worker threads (default: machine parallelism)")
+                       help="max worker processes (default: machine parallelism)")
     sub.add_parser("selftest", help="run built-in consistency checks")
     return parser
 

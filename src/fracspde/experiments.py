@@ -20,12 +20,20 @@ noise spectrum Lambda_k = k^m in d = 1 dimensions let
 
 Then the expected temporal order is H - rho * alpha / s and the spatial
 order (in the mode count N) is 2 sigma / d.
+
+Trajectories are processed in fixed chunks of 25.  With more than one
+worker the chunks run in forked worker processes, each with numpy's
+OpenBLAS pinned to one thread: threads would share the interpreter lock
+that the per-step Python loop and the small numpy calls hold, and each
+worker's own BLAS threads would oversubscribe the cores.  A chunk's
+arithmetic does not depend on where it runs, so the result is identical
+for any worker count.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,34 +248,78 @@ def _chunk_squared_errors(config: ExperimentConfig, trajectories) -> np.ndarray:
     return out
 
 
+def _openblas_function(name: str):
+    """The named function of the OpenBLAS that numpy links, or None."""
+    from numpy._core import _multiarray_umath
+    try:
+        return getattr(ctypes.CDLL(_multiarray_umath.__file__), name)
+    except (OSError, AttributeError):
+        return None
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Run numpy's OpenBLAS on one thread in this process; no-op without it."""
+    set_threads = _openblas_function("scipy_openblas_set_num_threads64_")
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+#: the study config of a worker process, set once by ``_start_worker``
+_worker_config = None
+
+
+def _start_worker(config: ExperimentConfig) -> None:
+    global _worker_config
+    _worker_config = config
+    _pin_blas_to_one_thread()
+
+
+def _worker_chunk(chunk: range) -> np.ndarray:
+    return _chunk_squared_errors(_worker_config, chunk)
+
+
+def _map_chunks(config: ExperimentConfig, chunks, max_workers: int) -> list:
+    """Squared-error blocks of ``chunks``, in chunk order.
+
+    More than one worker runs the chunks in forked processes.  Fork hands
+    each worker the config without pickling it, so a closure nonlinearity
+    works, and it needs no fresh import.  One worker, or a platform
+    without fork, runs them here in order with the caller's BLAS threads.
+    """
+    if max_workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures.process import ProcessPoolExecutor
+            with ProcessPoolExecutor(
+                    max_workers, mp_context=multiprocessing.get_context("fork"),
+                    initializer=_start_worker, initargs=(config,)) as pool:
+                return list(pool.map(_worker_chunk, chunks))
+    return [_chunk_squared_errors(config, chunk) for chunk in chunks]
+
+
 def run_convergence_study(config: ExperimentConfig,
                           threads: int | None = None) -> StudyResult:
     """Estimate strong errors and observed rates over the refinement ladder.
 
-    Trajectories are processed in fixed-size batches; batches may run on a
-    thread pool (``threads`` caps the workers) but each writes into its own
-    slice of the accumulator, so the result is identical for any worker
-    count.  The observed rate log2(e_l / e_{l+1}) sits on the coarser
-    level's row; the finest row has none.  Rates are omitted (None) when
-    an error vanishes, e.g. with zero noise amplitude.
+    Trajectories are processed in fixed-size chunks.  ``threads`` caps the
+    number of worker processes (default: the CPU count); with more than
+    one, the chunks run in forked processes with BLAS pinned to one
+    thread.  Every chunk fills its own slice of the accumulator with the
+    same arithmetic wherever it runs, so the result is identical for any
+    worker count.  The observed rate log2(e_l / e_{l+1}) sits on the
+    coarser level's row; the finest row has none.  Rates are omitted
+    (None) when an error vanishes, e.g. with zero noise amplitude.
     """
     n_traj = config.n_traj
     chunks = [range(lo, min(lo + _CHUNK, n_traj))
               for lo in range(0, n_traj, _CHUNK)]
-    sq_errors = np.empty((len(config.levels), n_traj))
-
-    def work(chunk):
-        sq_errors[:, chunk.start:chunk.stop] = _chunk_squared_errors(config, chunk)
-
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     max_workers = min(len(chunks), threads or (os.cpu_count() or 1))
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(work, chunks))
-    else:
-        for chunk in chunks:
-            work(chunk)
+    sq_errors = np.empty((len(config.levels), n_traj))
+    for chunk, block in zip(chunks, _map_chunks(config, chunks, max_workers)):
+        sq_errors[:, chunk.start:chunk.stop] = block
 
     errors = np.sqrt(np.mean(sq_errors, axis=1))
     rows = []

@@ -122,15 +122,20 @@ class SolverError(RuntimeError):
 
     ``mode`` (1-based) and ``time_level`` locate the first bad entry;
     ``trajectory`` is its row in the batch given to the stepper, or None
-    for a single path.  ``context`` prefixes the message.
+    for a single path.  ``context`` prefixes the message.  The error
+    pickles, so it reaches the caller from a worker process.
     """
 
     def __init__(self, mode: int, time_level: int, trajectory: int | None = None,
                  context: str = ""):
         self.mode, self.time_level, self.trajectory = mode, time_level, trajectory
+        self.context = context
         where = "" if trajectory is None else f"trajectory {trajectory}, "
         super().__init__(f"{context}non-finite coefficient in {where}mode {mode} "
                          f"at time level {time_level}")
+
+    def __reduce__(self):
+        return type(self), (self.mode, self.time_level, self.trajectory, self.context)
 
 
 def step(history: np.ndarray, weights: np.ndarray, lam_s: np.ndarray, tau: float,

@@ -1,10 +1,16 @@
+import ctypes
 import io
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracspde import spectral
+from fracspde import experiments, spectral
 from fracspde.experiments import (
     ExperimentConfig,
     LevelResult,
@@ -162,10 +168,24 @@ def test_errors_shrink_under_refinement():
 
 
 def test_study_deterministic_across_thread_counts():
-    cfg = _config(n_traj=60)      # spans three trajectory batches
-    a = run_convergence_study(cfg, threads=1)
-    b = run_convergence_study(cfg, threads=3)
-    assert a == b
+    # n_traj=56 gives chunks of 25, 25 and 6 trajectories; the closure
+    # cannot be pickled, so workers must inherit it
+    scale = 0.5
+
+    def damped_sin(u):
+        return scale * np.sin(u)
+
+    with pytest.raises((AttributeError, pickle.PicklingError)):
+        pickle.dumps(damped_sin)
+    for cfg in (_config(n_traj=56, nonlinearity=damped_sin),
+                _config(axis="space", levels=(2, 4, 8), fixed_other=16,
+                        hurst=0.3, n_traj=56, nonlinearity=damped_sin)):
+        tables = set()
+        for threads in (1, 2, 3):
+            buf = io.StringIO()
+            emit_table(run_convergence_study(cfg, threads=threads), buf)
+            tables.add(buf.getvalue())
+        assert len(tables) == 1, cfg.axis
 
 
 def test_study_space_axis():
@@ -177,8 +197,9 @@ def test_study_space_axis():
     assert res.rows[0].observed_rate is not None
 
 
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("axis, level", [("time", 4), ("space", 2)])
-def test_solver_error_names_absolute_trajectory(axis, level):
+def test_solver_error_names_absolute_trajectory(axis, level, threads):
     # trajectories 25..29 form the second batch; row 3 of it is trajectory 28
     def blow_up_second_batch(u):
         out = np.sin(u)
@@ -192,12 +213,68 @@ def test_solver_error_names_absolute_trajectory(axis, level):
         with pytest.raises(SolverError, match=(
                 f"^level {level}: non-finite coefficient in trajectory 28, "
                 f"mode 1 at time level 1$")):
-            run_convergence_study(cfg, threads=1)
+            run_convergence_study(cfg, threads=threads)
+
+
+def test_solver_error_survives_pickling():
+    exc = pickle.loads(pickle.dumps(SolverError(3, 7, 28, context="level 8: ")))
+    assert isinstance(exc, SolverError)
+    assert (exc.mode, exc.time_level, exc.trajectory) == (3, 7, 28)
+    assert str(exc) == ("level 8: non-finite coefficient in trajectory 28, "
+                        "mode 3 at time level 7")
 
 
 def test_threads_validation():
     with pytest.raises(ValueError, match="threads"):
         run_convergence_study(_config(), threads=0)
+
+
+def test_cli_import_loads_no_process_pool():
+    src = str(Path(experiments.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fracspde.cli; print(sorted({'multiprocessing', "
+         "'concurrent.futures.process'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def _blas_thread_count():
+    get_threads = experiments._openblas_function("scipy_openblas_get_num_threads64_")
+    if get_threads is None:
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads()
+
+
+def test_blas_pin_is_a_no_op_without_the_symbol(monkeypatch):
+    assert experiments._openblas_function("no_such_openblas_symbol") is None
+    before = _blas_thread_count()
+    monkeypatch.setattr(experiments, "_openblas_function", lambda name: None)
+    experiments._pin_blas_to_one_thread()
+    monkeypatch.undo()
+    assert _blas_thread_count() == before
+
+
+def test_workers_run_blas_on_one_thread(tmp_path):
+    before = _blas_thread_count()
+    if before is None:
+        pytest.skip("numpy's BLAS does not export scipy_openblas_get_num_threads64_")
+
+    def record_blas_threads(u):
+        mark = tmp_path / str(os.getpid())
+        if not mark.exists():
+            mark.write_text(str(_blas_thread_count()))
+        return np.sin(u)
+
+    run_convergence_study(_config(n_traj=50, nonlinearity=record_blas_threads),
+                          threads=2)
+    seen = {int(p.name): p.read_text() for p in tmp_path.iterdir()}
+    assert seen and os.getpid() not in seen
+    assert set(seen.values()) == {"1"}
+    assert _blas_thread_count() == before
 
 
 # ---------------------------------------------------------------------------

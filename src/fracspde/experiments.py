@@ -248,18 +248,37 @@ def _chunk_squared_errors(config: ExperimentConfig, trajectories) -> np.ndarray:
     return out
 
 
+#: the symbols an OpenBLAS function ``openblas_<name>`` goes by: the
+#: scipy-openblas build of numpy >= 2 wheels, the 64-bit-integer build of
+#: numpy 1.x wheels, and an unsuffixed system library
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}64_", "openblas_{}64_", "openblas_{}")
+
+
 def _openblas_function(name: str):
-    """The named function of the OpenBLAS that numpy links, or None."""
-    from numpy._core import _multiarray_umath
+    """numpy's OpenBLAS function ``openblas_<name>``, or None.
+
+    The library is found through numpy's compiled core, which links it.
+    None when that module cannot be loaded or exports no such symbol,
+    e.g. when numpy uses another BLAS.
+    """
     try:
-        return getattr(ctypes.CDLL(_multiarray_umath.__file__), name)
-    except (OSError, AttributeError):
+        try:
+            from numpy._core import _multiarray_umath
+        except ImportError:                                 # numpy 1.x
+            from numpy.core import _multiarray_umath
+        library = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
         return None
+    for symbol in _OPENBLAS_SYMBOLS:
+        function = getattr(library, symbol.format(name), None)
+        if function is not None:
+            return function
+    return None
 
 
 def _pin_blas_to_one_thread() -> None:
     """Run numpy's OpenBLAS on one thread in this process; no-op without it."""
-    set_threads = _openblas_function("scipy_openblas_set_num_threads64_")
+    set_threads = _openblas_function("set_num_threads")
     if set_threads is not None:
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
         set_threads(1)
@@ -307,9 +326,13 @@ def run_convergence_study(config: ExperimentConfig,
     one, the chunks run in forked processes with BLAS pinned to one
     thread.  Every chunk fills its own slice of the accumulator with the
     same arithmetic wherever it runs, so the result is identical for any
-    worker count.  The observed rate log2(e_l / e_{l+1}) sits on the
-    coarser level's row; the finest row has none.  Rates are omitted
-    (None) when an error vanishes, e.g. with zero noise amplitude.
+    worker count and any BLAS thread count of the caller.  More than one
+    worker forks the calling process; a caller that runs other threads
+    (a GUI, a server, a thread pool) should pass ``threads=1``, since a
+    forked child can deadlock on a lock one of those threads held.  The
+    observed rate log2(e_l / e_{l+1}) sits on the coarser level's row; the
+    finest row has none.  Rates are omitted (None) when an error vanishes,
+    e.g. with zero noise amplitude.
     """
     n_traj = config.n_traj
     chunks = [range(lo, min(lo + _CHUNK, n_traj))

@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -180,10 +181,15 @@ def test_study_deterministic_across_thread_counts():
     for cfg in (_config(n_traj=56, nonlinearity=damped_sin),
                 _config(axis="space", levels=(2, 4, 8), fixed_other=16,
                         hurst=0.3, n_traj=56, nonlinearity=damped_sin)):
+        results = [run_convergence_study(cfg, threads=threads)
+                   for threads in (1, 2, 3)]
+        # exact equality compares every error and rate bit for bit
+        assert results[1] == results[0], cfg.axis
+        assert results[2] == results[0], cfg.axis
         tables = set()
-        for threads in (1, 2, 3):
+        for res in results:
             buf = io.StringIO()
-            emit_table(run_convergence_study(cfg, threads=threads), buf)
+            emit_table(res, buf)
             tables.add(buf.getvalue())
         assert len(tables) == 1, cfg.axis
 
@@ -242,11 +248,38 @@ def test_cli_import_loads_no_process_pool():
 
 
 def _blas_thread_count():
-    get_threads = experiments._openblas_function("scipy_openblas_get_num_threads64_")
+    get_threads = experiments._openblas_function("get_num_threads")
     if get_threads is None:
         return None
     get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     return get_threads()
+
+
+def _set_blas_threads(n):
+    set_threads = experiments._openblas_function("set_num_threads")
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(n)
+
+
+@pytest.mark.parametrize("exported, found", [
+    (("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_"),
+     "scipy_openblas_get_num_threads64_"),                    # numpy >= 2 wheel
+    (("openblas_get_num_threads64_",), "openblas_get_num_threads64_"),  # numpy 1.x
+    (("openblas_get_num_threads",), "openblas_get_num_threads"),    # system build
+    ((), None),                                               # another BLAS
+])
+def test_openblas_lookup_knows_each_build(monkeypatch, exported, found):
+    library = SimpleNamespace(**{name: name for name in exported})
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: library)
+    assert experiments._openblas_function("get_num_threads") == found
+
+
+def test_openblas_lookup_is_none_when_numpy_core_cannot_load(monkeypatch):
+    # neither numpy 2's numpy._core nor numpy 1.x's numpy.core imports
+    monkeypatch.setitem(sys.modules, "numpy._core", None)
+    monkeypatch.setitem(sys.modules, "numpy.core", None)
+    assert experiments._openblas_function("set_num_threads") is None
+    experiments._pin_blas_to_one_thread()
 
 
 def test_blas_pin_is_a_no_op_without_the_symbol(monkeypatch):
@@ -261,7 +294,7 @@ def test_blas_pin_is_a_no_op_without_the_symbol(monkeypatch):
 def test_workers_run_blas_on_one_thread(tmp_path):
     before = _blas_thread_count()
     if before is None:
-        pytest.skip("numpy's BLAS does not export scipy_openblas_get_num_threads64_")
+        pytest.skip("numpy's BLAS does not export openblas_get_num_threads")
 
     def record_blas_threads(u):
         mark = tmp_path / str(os.getpid())
@@ -275,6 +308,25 @@ def test_workers_run_blas_on_one_thread(tmp_path):
     assert seen and os.getpid() not in seen
     assert set(seen.values()) == {"1"}
     assert _blas_thread_count() == before
+
+
+def test_in_process_study_does_not_depend_on_caller_blas_threads():
+    # threads=1 runs with the caller's BLAS threads, the workers with one;
+    # at N=64, 25 rows and L=64 the history gemv and the sine-matrix
+    # products are large enough for OpenBLAS to split them over threads
+    before = _blas_thread_count()
+    if before is None:
+        pytest.skip("numpy's BLAS does not export openblas_get_num_threads")
+    cfg = _config(axis="space", levels=(16, 32), fixed_other=64, hurst=0.3,
+                  n_traj=30)
+    workers = run_convergence_study(cfg, threads=2)
+    try:
+        for blas_threads in (1, 3, 8):
+            _set_blas_threads(blas_threads)
+            assert _blas_thread_count() == blas_threads
+            assert run_convergence_study(cfg, threads=1) == workers, blas_threads
+    finally:
+        _set_blas_threads(before)
 
 
 # ---------------------------------------------------------------------------

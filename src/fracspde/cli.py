@@ -7,15 +7,18 @@ Three subcommands:
 * ``selftest``    quick internal consistency checks, exit status 0/1
 
 Configuration is a plain-text file of ``key = value`` lines (``#`` starts
-a comment).  Recognised keys:
+a comment).  The keys, their types and their defaults are the fields of
+:class:`~fracspde.experiments.ExperimentConfig`, except the diagnostic
+``noise_amplitude``; a key is required exactly when its field has no
+default:
 
     alpha, s, hurst, m     model parameters (floats)
-    t_final                final time (default 0.01)
     axis                   "time" or "space"
     levels                 comma-separated refinement ladder, e.g. 32,64,128
     fixed_other            resolution of the non-swept axis (int)
     n_traj                 Monte Carlo sample size (default 100)
-    seed                   master seed, drives all randomness (int)
+    seed                   master seed, drives all randomness (default 0)
+    t_final                final time (default 0.01)
     nonlinearity           "sin" or "zero" (default sin)
 
 Any key can be overridden on the command line with ``--set key=value``.
@@ -28,8 +31,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -38,9 +42,12 @@ from .experiments import ExperimentConfig, emit_table, run_convergence_study
 
 __all__ = ["RunSpec", "parse_config", "serialize_config", "run", "main"]
 
-_CONFIG_KEYS = ("alpha", "s", "hurst", "m", "t_final", "axis", "levels",
-                "fixed_other", "n_traj", "seed", "nonlinearity")
-_DEFAULTS = {"t_final": 0.01, "n_traj": 100, "nonlinearity": "sin"}
+#: config key -> its ExperimentConfig field, in field order
+_FIELDS = {f.name: f for f in fields(ExperimentConfig) if f.name != "noise_amplitude"}
+_TYPES = get_type_hints(ExperimentConfig)
+#: field type -> parser of the raw text
+_PARSERS = {float: float, int: int, str: str,
+            tuple: lambda raw: tuple(int(part.strip()) for part in raw.split(","))}
 
 
 @dataclass(frozen=True)
@@ -54,24 +61,21 @@ class RunSpec:
     threads: int | None = None
 
 
-def _parse_value(key: str, raw: str):
+def _parse_entry(entry: str) -> tuple:
+    """(key, value) of one ``key = value`` entry; names a bad key or value."""
+    key, _, raw = entry.partition("=")
+    key, raw = key.strip(), raw.strip()
+    if key not in _FIELDS:
+        raise ValueError(f"unknown config key {key!r}")
     try:
-        if key in ("alpha", "s", "hurst", "m", "t_final"):
-            return float(raw)
-        if key in ("fixed_other", "n_traj", "seed"):
-            return int(raw)
-        if key == "levels":
-            return tuple(int(part.strip()) for part in raw.split(","))
-        if key in ("axis", "nonlinearity"):
-            return raw
+        return key, _PARSERS[_TYPES[key]](raw)
     except ValueError:
         raise ValueError(f"bad value for config key {key!r}: {raw!r}") from None
-    raise ValueError(f"unknown config key {key!r}")
 
 
 def parse_config(text: str, overrides=()) -> ExperimentConfig:
     """Parse ``key = value`` lines, apply overrides, validate."""
-    values = dict(_DEFAULTS)
+    values = {key: f.default for key, f in _FIELDS.items() if f.default is not MISSING}
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -79,23 +83,17 @@ def parse_config(text: str, overrides=()) -> ExperimentConfig:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
+        key, value = _parse_entry(line)
         if key in seen:
             raise ValueError(f"duplicate config key {key!r}")
         seen.add(key)
-        values[key] = _parse_value(key, raw)
+        values[key] = value
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"--set needs key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        values[key] = _parse_value(key, raw)
-    missing = sorted(set(_CONFIG_KEYS) - values.keys())
+        key, value = _parse_entry(item)
+        values[key] = value
+    missing = sorted(_FIELDS.keys() - values.keys())
     if missing:
         raise ValueError(f"missing required config key {missing[0]!r}")
     return ExperimentConfig(**values)
@@ -104,7 +102,7 @@ def parse_config(text: str, overrides=()) -> ExperimentConfig:
 def serialize_config(config: ExperimentConfig) -> str:
     """Inverse of :func:`parse_config` (up to formatting)."""
     lines = []
-    for key in _CONFIG_KEYS:
+    for key in _FIELDS:
         value = getattr(config, key)
         if key == "levels":
             value = ",".join(str(v) for v in value)
@@ -113,7 +111,7 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 
 def _write_manifest(out_dir: Path, config: ExperimentConfig, command: str) -> None:
-    echo = {key: getattr(config, key) for key in _CONFIG_KEYS}
+    echo = {key: getattr(config, key) for key in _FIELDS}
     echo["levels"] = list(config.levels)
     payload = {"command": command, "config": echo, "seed": config.seed,
                "version": __version__}
@@ -144,14 +142,9 @@ def _cmd_study(spec: RunSpec) -> int:
 def _cmd_trajectory(spec: RunSpec) -> int:
     config = _load_config(spec)
     params = config.model_params()
-    if config.axis == "time":
-        n_modes, n_steps = config.fixed_other, config.levels[-1]
-    else:
-        n_modes, n_steps = config.levels[-1], config.fixed_other
-    disc = solver.Discretization(n_modes=n_modes, n_steps=n_steps,
-                                 tau=config.t_final / n_steps)
-    increments = fbm.mode_increments(config.hurst, disc.tau, n_steps,
-                                     config.seed, n_modes, [0])
+    disc = config.discretization(config.levels[-1])
+    increments = fbm.mode_increments(config.hurst, disc.tau, disc.n_steps,
+                                     config.seed, disc.n_modes, [0])
     states = solver.run_trajectory(params, disc, increments[0])
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -159,7 +152,7 @@ def _cmd_trajectory(spec: RunSpec) -> int:
                            config.seed)
     _write_manifest(out_dir, config, "trajectory")
     print(f"wrote {out_dir / 'trajectory.bin'} "
-          f"({n_steps + 1} levels x {n_modes} modes)")
+          f"({disc.n_steps + 1} levels x {disc.n_modes} modes)")
     return 0
 
 

@@ -135,19 +135,30 @@ class ExperimentConfig:
         and states, each about 8 B x (L+1) x chunk x N at the finest step
         count L and the widest mode count N.
         """
-        finest = 2 * self.levels[-1]
-        n_steps, n_modes = ((finest, self.fixed_other) if self.axis == "time"
-                            else (self.fixed_other, finest))
-        needed = 3 * 8 * (n_steps + 1) * min(self.n_traj, _CHUNK) * n_modes
+        finest = self.discretization(2 * self.levels[-1])
+        needed = (3 * 8 * (finest.n_steps + 1) * min(self.n_traj, _CHUNK)
+                  * finest.n_modes)
         try:
             physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, ValueError, OSError):   # platform does not say
             return
         if needed > physical:
             raise ValueError(
-                f"levels too large: L={n_steps} steps x N={n_modes} modes needs "
-                f"about {needed} bytes per chunk, more than the {physical} bytes "
-                f"of physical memory")
+                f"levels too large: L={finest.n_steps} steps x N={finest.n_modes} "
+                f"modes needs about {needed} bytes per chunk, more than the "
+                f"{physical} bytes of physical memory")
+
+    def discretization(self, level: int) -> Discretization:
+        """The grid of one refinement level.
+
+        On the time axis ``level`` is the step count L at ``fixed_other``
+        modes, on the space axis the mode count N at ``fixed_other``
+        steps; in both, tau = t_final / L.
+        """
+        n_modes, n_steps = ((self.fixed_other, level) if self.axis == "time"
+                            else (level, self.fixed_other))
+        return Discretization(n_modes=n_modes, n_steps=n_steps,
+                              tau=self.t_final / n_steps)
 
     def model_params(self) -> ModelParams:
         return ModelParams(alpha=self.alpha, s=self.s, hurst=self.hurst,
@@ -199,52 +210,35 @@ def _chunk_squared_errors(config: ExperimentConfig, trajectories) -> np.ndarray:
 
     Returns an array of shape (len(levels), len(trajectories)): entry
     [i, j] is ||u_{l_i} - u_{2 l_i}||^2 for trajectory j, where the run at
-    2 * levels[-1] is the extra refinement closing the last pair.  A
-    solver failure is re-raised with the level and the absolute
-    trajectory index.
+    2 * levels[-1] is the extra refinement closing the last pair.  One
+    loop serves both axes: the increments are drawn once on the finest
+    grid, and each level takes their first N modes and sums each group
+    of adjacent steps that one of its coarser steps spans.  So the time
+    axis coarsens steps and the space axis drops modes.  A solver failure
+    is re-raised with the level and the absolute trajectory index.
     """
     params = config.model_params()
     all_levels = list(config.levels) + [2 * config.levels[-1]]
-    t_final = config.t_final
+    fine = config.discretization(all_levels[-1])
+    increments = fbm.mode_increments(config.hurst, fine.tau, fine.n_steps,
+                                     config.seed, fine.n_modes, trajectories)
     out = np.empty((len(config.levels), len(trajectories)))
-
-    def solve(level, disc, increments):
+    previous = None
+    for i, level in enumerate(all_levels):
+        disc = config.discretization(level)
+        coarse = increments[:, :, :disc.n_modes]
+        group = fine.n_steps // disc.n_steps
+        if group > 1:
+            coarse = coarse.reshape(
+                len(trajectories), disc.n_steps, group, disc.n_modes).sum(axis=2)
         try:
-            return run_ensemble(params, disc, increments, config.noise_amplitude)
+            final = run_ensemble(params, disc, coarse, config.noise_amplitude)
         except SolverError as exc:
             raise SolverError(exc.mode, exc.time_level, trajectories[exc.trajectory],
                               context=f"level {level}: ") from exc
-
-    if config.axis == "time":
-        n_modes = config.fixed_other
-        finest = all_levels[-1]
-        increments = fbm.mode_increments(
-            config.hurst, t_final / finest, finest, config.seed, n_modes,
-            trajectories)
-        previous = None
-        for i, n_steps in enumerate(all_levels):
-            group = finest // n_steps
-            coarse = increments.reshape(
-                len(trajectories), n_steps, group, n_modes).sum(axis=2)
-            disc = Discretization(n_modes=n_modes, n_steps=n_steps,
-                                  tau=t_final / n_steps)
-            final = solve(n_steps, disc, coarse)
-            if previous is not None:
-                out[i - 1] = np.sum((previous - final) ** 2, axis=-1)
-            previous = final
-    else:
-        n_steps = config.fixed_other
-        tau = t_final / n_steps
-        widest = all_levels[-1]
-        increments = fbm.mode_increments(
-            config.hurst, tau, n_steps, config.seed, widest, trajectories)
-        previous = None
-        for i, n_modes in enumerate(all_levels):
-            disc = Discretization(n_modes=n_modes, n_steps=n_steps, tau=tau)
-            final = solve(n_modes, disc, increments[:, :, :n_modes])
-            if previous is not None:
-                out[i - 1] = pathwise_error(previous, final) ** 2
-            previous = final
+        if previous is not None:
+            out[i - 1] = pathwise_error(previous, final) ** 2
+        previous = final
     return out
 
 

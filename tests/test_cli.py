@@ -1,10 +1,13 @@
 import json
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fracspde import cli, solver
 from fracspde.cli import RunSpec, parse_config, serialize_config
+from fracspde.experiments import ExperimentConfig
 
 MINIMAL = """
 # Table-1-style temporal study, desk scale
@@ -86,6 +89,53 @@ def test_config_round_trip():
     cfg = parse_config(MINIMAL, overrides=("n_traj=12",))
     again = parse_config(serialize_config(cfg))
     assert again == cfg
+    # every key away from both its default and its MINIMAL value
+    changed = dict(alpha="0.45", s="0.55", hurst="0.65", m="0.5", axis="space",
+                   levels="2,4", fixed_other="16", n_traj="3", seed="123",
+                   t_final="0.02", nonlinearity="zero")
+    assert changed.keys() == cli._FIELDS.keys()
+    cfg = parse_config(MINIMAL, overrides=[f"{k}={v}" for k, v in changed.items()])
+    base = parse_config(MINIMAL)
+    for f in fields(ExperimentConfig):
+        if f.name in changed:
+            assert getattr(cfg, f.name) not in (f.default, getattr(base, f.name))
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_config_keys_are_the_experiment_config_fields(tmp_path):
+    expected = {f.name for f in fields(ExperimentConfig)} - {"noise_amplitude"}
+    assert set(cli._FIELDS) == expected
+    cfg = parse_config(MINIMAL)
+    lines = serialize_config(cfg).splitlines()
+    assert {line.partition("=")[0].strip() for line in lines} == expected
+    cli._write_manifest(tmp_path, cfg, "study")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest["config"]) == expected
+
+
+def test_noise_amplitude_is_not_a_config_key():
+    with pytest.raises(ValueError, match="unknown config key 'noise_amplitude'"):
+        parse_config(MINIMAL + "noise_amplitude = 1\n")
+    with pytest.raises(ValueError, match="unknown config key 'noise_amplitude'"):
+        parse_config(MINIMAL, overrides=("noise_amplitude=1",))
+
+
+def test_seed_defaults_to_zero():
+    assert parse_config(MINIMAL.replace("seed = 7\n", "")).seed == 0
+
+
+def test_readme_key_table_matches_the_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("Keys and defaults:", 1)[1].strip().splitlines()
+    documented = {}
+    for line in table[2:]:                      # below the header and rule
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        documented[cells[0].strip("`")] = cells[-1]
+    expected = {key: "required" if f.default is MISSING else f"`{f.default}`"
+                for key, f in cli._FIELDS.items()}
+    assert documented == expected
 
 
 def _write_tiny_config(tmp_path, **extra):
@@ -142,14 +192,18 @@ def test_set_override_via_main(tmp_path):
     assert manifest["seed"] == 9
 
 
-def test_trajectory_command(tmp_path):
-    cfg_path = _write_tiny_config(tmp_path)
+@pytest.mark.parametrize("axis", ["time", "space"])
+def test_trajectory_command(tmp_path, axis):
+    cfg_path = _write_tiny_config(tmp_path, axis=axis)
     out = tmp_path / "traj"
     assert cli.main(["trajectory", "--config", str(cfg_path),
                      "--out", str(out)]) == 0
     states, meta = solver.load_trajectory(out / "trajectory.bin")
-    # time axis: finest level 8 steps, fixed 6 modes
-    assert states.shape == (9, 6)
+    # finest level 8, fixed_other 6: 8 steps x 6 modes in time, 6 x 8 in space
+    n_steps, n_modes = (8, 6) if axis == "time" else (6, 8)
+    assert states.shape == (n_steps + 1, n_modes)
+    assert (meta["n_steps"], meta["n_modes"]) == (n_steps, n_modes)
+    assert meta["tau"] == 0.01 / n_steps
     assert meta["hurst"] == 0.8
     assert meta["seed"] == 5
     assert np.all(np.isfinite(states))

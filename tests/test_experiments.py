@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracspde import experiments, spectral
+from fracspde import experiments, fbm, solver, spectral
 from fracspde.experiments import (
     ExperimentConfig,
     LevelResult,
@@ -143,8 +143,48 @@ def test_config_rejects_arrays_beyond_physical_memory(axis, levels, fixed_other,
         _config(axis=axis, levels=levels, fixed_other=fixed_other)
 
 
+@pytest.mark.parametrize("axis, n_modes, n_steps", [("time", 8, 16), ("space", 16, 8)])
+def test_discretization_maps_level_to_grid(axis, n_modes, n_steps):
+    disc = _config(axis=axis, t_final=0.02).discretization(16)   # fixed_other=8
+    assert (disc.n_modes, disc.n_steps, disc.tau) == (n_modes, n_steps, 0.02 / n_steps)
+
+
 # ---------------------------------------------------------------------------
 # study behaviour
+
+
+@pytest.mark.parametrize("axis, fixed_other", [("time", 3), ("space", 6)])
+def test_chunk_errors_match_hand_coupled_levels(axis, fixed_other):
+    # every level is driven by one draw on the finest grid: the time axis
+    # sums adjacent steps of the finest draw, the space axis keeps the first
+    # N modes of the widest one
+    cfg = _config(axis=axis, levels=(2, 4), fixed_other=fixed_other, hurst=0.3)
+    trajectories = range(3, 7)
+    params, t_final = cfg.model_params(), cfg.t_final
+    finest = 8
+    if axis == "time":
+        draw = fbm.mode_increments(cfg.hurst, t_final / finest, finest, cfg.seed,
+                                   fixed_other, trajectories)
+    else:
+        draw = fbm.mode_increments(cfg.hurst, t_final / fixed_other, fixed_other,
+                                   cfg.seed, finest, trajectories)
+    finals = []
+    for level in (2, 4, 8):
+        if axis == "time":
+            group = finest // level
+            increments = draw.reshape(len(trajectories), level, group,
+                                      fixed_other).sum(axis=2)
+            disc = solver.Discretization(fixed_other, level, t_final / level)
+        else:
+            increments = draw[:, :, :level]
+            disc = solver.Discretization(level, fixed_other, t_final / fixed_other)
+        finals.append(solver.run_ensemble(params, disc, increments))
+    expected = np.array([pathwise_error(a, b) ** 2
+                         for a, b in zip(finals, finals[1:])])
+    got = experiments._chunk_squared_errors(cfg, trajectories)
+    assert got.shape == (2, 4)
+    assert np.array_equal(got, expected)
+
 
 
 def test_zero_noise_gives_empty_rates():

@@ -7,10 +7,11 @@ with step tau uses the coefficients of ((1-z)/tau)^a:
     d_j = tau^(-a) * (-1)^j * binom(a, j).
 
 ``cq_weights`` computes them by the stable two-term recurrence;
-``apply_cq_history`` is the history sum of the single-path stepper
-(``solver.step``).  The two ``weights_by_*`` functions are independent
-oracles (power-series composition in high precision, and FFT coefficient
-extraction on a circle) kept for the self-test and the test suite.
+``apply_cq_history`` is ``solver.step``'s history sum for one path (a
+batch takes a faster, width-dependent gemv there).  The two
+``weights_by_*`` functions are independent oracles (power-series
+composition in high precision, and FFT coefficient extraction on a
+circle) kept for the self-test and the test suite.
 """
 from __future__ import annotations
 

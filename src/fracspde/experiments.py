@@ -119,8 +119,8 @@ class ExperimentConfig:
             raise ValueError(f"fixed_other must be >= 1, got {self.fixed_other}")
         if self.n_traj < 2:
             raise ValueError(f"n_traj must be >= 2, got {self.n_traj}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2 ** 64:     # trajectory.bin stores it as <u8
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0.0):
             raise ValueError(f"noise_amplitude must be finite and >= 0, "
                              f"got {self.noise_amplitude}")
@@ -129,24 +129,27 @@ class ExperimentConfig:
         self._check_memory()
 
     def _check_memory(self) -> None:
-        """Reject a study whose per-chunk arrays cannot fit in physical memory.
+        """Reject a study whose arrays cannot fit in physical memory.
 
         The largest arrays of one chunk are its increments, noise forcing
         and states, each about 8 B x (L+1) x chunk x N at the finest step
-        count L and the widest mode count N.
+        count L and the widest mode count N.  The study also keeps every
+        trajectory's squared error at every level, 8 B x levels x n_traj.
         """
         finest = self.discretization(2 * self.levels[-1])
-        needed = (3 * 8 * (finest.n_steps + 1) * min(self.n_traj, _CHUNK)
-                  * finest.n_modes)
+        per_chunk = (3 * 8 * (finest.n_steps + 1) * min(self.n_traj, _CHUNK)
+                     * finest.n_modes)
+        accumulator = 8 * len(self.levels) * self.n_traj
         try:
             physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, ValueError, OSError):   # platform does not say
             return
-        if needed > physical:
+        if per_chunk + accumulator > physical:
             raise ValueError(
-                f"levels too large: L={finest.n_steps} steps x N={finest.n_modes} "
-                f"modes needs about {needed} bytes per chunk, more than the "
-                f"{physical} bytes of physical memory")
+                f"levels or n_traj too large: L={finest.n_steps} steps x "
+                f"N={finest.n_modes} modes needs about {per_chunk} bytes per chunk, "
+                f"n_traj={self.n_traj} needs {accumulator} bytes of errors; "
+                f"physical memory is {physical} bytes")
 
     def discretization(self, level: int) -> Discretization:
         """The grid of one refinement level.

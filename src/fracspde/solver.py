@@ -17,24 +17,24 @@ a 2x-oversampled grid of M = 2N nodes, apply f pointwise, project back).
 up to M = 512 (N = 256) and as DST-I above; both are exact on the same
 grid and quadrature, so the choice only moves rounding.
 
-``run_trajectory`` advances one path and keeps the whole history;
-``run_ensemble`` advances a batch of trajectories in lockstep, which is
-what the convergence studies use.  The two take the CQ history sum
-through different kernels:
+One core, ``_advance``, runs the time loop for both entry points:
+``run_trajectory`` advances one path with states (L+1, N) and keeps the
+whole history; ``run_ensemble`` advances a batch in lockstep with states
+(L+1, n_traj, N), as the convergence studies do.  The update is written
+only in ``step``, which picks the CQ history kernel from the history's
+shape, because each of the two callers needs a different one:
 
-* ``step`` (single path) calls ``cq.apply_cq_history``, an einsum that
-  adds d_1 u^{n-1} first and gives every mode the same arithmetic
-  whatever the mode count.  That keeps the modes of a linear run bitwise
-  decoupled and ``trajectory.bin`` byte-stable.  The matmul on a reversed
-  view that it replaced gave the same bits, but numpy cannot hand a
-  negative-stride operand to BLAS and ran its scalar loop: at L=2048,
+* 2-D (one path): ``cq.apply_cq_history``, an einsum that adds d_1 u^{n-1}
+  first and gives every mode the same arithmetic whatever the mode count.
+  That keeps the modes of a linear run bitwise decoupled and
+  ``trajectory.bin`` byte-stable.  The matmul on a reversed view that it
+  replaced gave the same bits but ran numpy's scalar loop: at L=2048,
   N=128 one trajectory took 0.55 s with it and about 0.25 s with the
   einsum (2 vCPU, numpy 2.4, OpenBLAS 0.3).
-* ``run_ensemble`` uses one BLAS matrix-vector product (gemv) per step
-  over all n_traj*N columns.  At 128 history rows it is 1.3-2.9x faster
-  than the einsum over 200-3200 columns, the study widths, but a column's
-  bits can change with the number of columns, so the single path does
-  not use it.
+* 3-D (a batch): one BLAS matrix-vector product (gemv) over all n_traj*N
+  columns.  At 128 history rows it is 1.3-2.9x faster than the einsum
+  over 200-3200 columns, the study widths, but a column's bits can change
+  with the number of columns, so the single path does not use it.
 """
 from __future__ import annotations
 
@@ -140,15 +140,38 @@ class SolverError(RuntimeError):
 
 def step(history: np.ndarray, weights: np.ndarray, lam_s: np.ndarray, tau: float,
          forcing_coeffs, noise_coeffs) -> np.ndarray:
-    """One implicit step: history rows are u^0..u^{n-1}, returns u^n."""
-    hist_sum = cq.apply_cq_history(weights[1:], history[1:])
+    """One implicit step: history rows are u^0..u^{n-1}, each of shape (N,)
+    or (n_traj, N), which selects the history kernel; returns u^n."""
+    if history.ndim == 3:
+        n = history.shape[0]
+        flat = history[1:].reshape(n - 1, history[0].size)
+        # copied: numpy hands no negative-stride operand to BLAS
+        hist_sum = (weights[n - 1:0:-1].copy() @ flat).reshape(history.shape[1:])
+    else:
+        hist_sum = cq.apply_cq_history(weights[1:], history[1:])
     rhs = history[-1] / tau - lam_s * hist_sum + forcing_coeffs + noise_coeffs
     return rhs / (1.0 / tau + weights[0] * lam_s)
 
 
-def _nonlinear_term(f, coeffs: np.ndarray, n_grid: int) -> np.ndarray:
-    values = spectral.synthesize(coeffs, n_grid)
-    return spectral.project(f(values), coeffs.shape[-1])
+def _advance(params: ModelParams, disc: Discretization, increments: np.ndarray,
+             noise_amplitude: float) -> np.ndarray:
+    """States (L+1, *batch, N) from increments (*batch, L, N), batch () or (n_traj,)."""
+    n_modes, tau = disc.n_modes, disc.tau
+    lam_s = spectral.eigenvalues(n_modes) ** params.s
+    weights = cq.cq_weights(1.0 - params.alpha, tau, disc.n_steps)
+    amp = noise_amplitude * np.arange(1, n_modes + 1, dtype=float) ** (0.5 * params.m)
+    noise = np.ascontiguousarray(np.moveaxis(amp * increments / tau, -2, 0))
+    f = params.f
+    states = np.zeros((disc.n_steps + 1,) + noise.shape[1:])
+    for n in range(1, disc.n_steps + 1):
+        fterm = 0.0 if f is None else spectral.project(
+            f(spectral.synthesize(states[n - 1], 2 * n_modes)), n_modes)
+        states[n] = step(states[:n], weights, lam_s, tau, fterm, noise[n - 1])
+        if not np.all(np.isfinite(states[n])):
+            *traj, mode = np.unravel_index(np.argmax(~np.isfinite(states[n])),
+                                           states[n].shape)
+            raise SolverError(int(mode) + 1, n, int(traj[0]) if traj else None)
+    return states
 
 
 def run_trajectory(params: ModelParams, disc: Discretization,
@@ -159,65 +182,27 @@ def run_trajectory(params: ModelParams, disc: Discretization,
     1..N (spectral amplitudes sqrt(k^m) are applied here, not by the
     sampler). states[0] is the zero initial condition.
     """
-    n_modes, n_steps, tau = disc.n_modes, disc.n_steps, disc.tau
     increments = np.asarray(increments, dtype=float)
-    if increments.shape != (n_steps, n_modes):
-        raise ValueError(
-            f"increments shaped {increments.shape}, expected ({n_steps}, {n_modes})")
-    lam_s = spectral.eigenvalues(n_modes) ** params.s
-    weights = cq.cq_weights(1.0 - params.alpha, tau, n_steps)
-    amp = noise_amplitude * np.arange(1, n_modes + 1, dtype=float) ** (0.5 * params.m)
-    f = params.f
-    n_grid = 2 * n_modes
-    states = np.zeros((n_steps + 1, n_modes))
-    for n in range(1, n_steps + 1):
-        fterm = _nonlinear_term(f, states[n - 1], n_grid) if f is not None else 0.0
-        noise = amp * increments[n - 1] / tau
-        states[n] = step(states[:n], weights, lam_s, tau, fterm, noise)
-        if not np.all(np.isfinite(states[n])):
-            bad = int(np.flatnonzero(~np.isfinite(states[n]))[0])
-            raise SolverError(bad + 1, n)
-    return states
+    if increments.shape != (disc.n_steps, disc.n_modes):
+        raise ValueError(f"increments shaped {increments.shape}, "
+                         f"expected ({disc.n_steps}, {disc.n_modes})")
+    return _advance(params, disc, increments, noise_amplitude)
 
 
 def run_ensemble(params: ModelParams, disc: Discretization,
                  increments: np.ndarray, noise_amplitude: float = 1.0) -> np.ndarray:
     """Advance a batch of trajectories; returns final coefficients (n_traj, N).
 
-    The same scheme as ``run_trajectory`` per path, but the CQ history sum
-    for all trajectories is a single contiguous matrix-vector product per
-    step, which adds the terms in another order (equal to rounding).
+    ``increments`` is (n_traj, L, N).  Each path follows ``run_trajectory``'s
+    scheme, but the history sum is one gemv over the batch: a path equals
+    its ``run_trajectory`` run to rounding, and its bits can change with
+    the batch width.
     """
-    n_modes, n_steps, tau = disc.n_modes, disc.n_steps, disc.tau
     increments = np.asarray(increments, dtype=float)
-    n_traj = increments.shape[0]
-    if increments.shape != (n_traj, n_steps, n_modes):
-        raise ValueError(
-            f"increments shaped {increments.shape}, expected "
-            f"(n_traj, {n_steps}, {n_modes})")
-    lam_s = spectral.eigenvalues(n_modes) ** params.s
-    weights = cq.cq_weights(1.0 - params.alpha, tau, n_steps)
-    w_rev = weights[::-1].copy()            # contiguous slices in the step loop
-    amp = noise_amplitude * np.arange(1, n_modes + 1, dtype=float) ** (0.5 * params.m)
-    # (L, n_traj*N) noise forcing, flattened to match the state layout
-    forcing = np.ascontiguousarray(
-        (increments * (amp / tau)).transpose(1, 0, 2).reshape(n_steps, n_traj * n_modes))
-    lam_flat = np.tile(lam_s, n_traj)
-    denom = 1.0 / tau + weights[0] * lam_flat
-    f = params.f
-    n_grid = 2 * n_modes
-    states = np.zeros((n_steps + 1, n_traj * n_modes))
-    for n in range(1, n_steps + 1):
-        hist_sum = w_rev[n_steps - n:n_steps - 1] @ states[1:n] if n > 1 else 0.0
-        rhs = states[n - 1] / tau - lam_flat * hist_sum + forcing[n - 1]
-        if f is not None:
-            fterm = _nonlinear_term(f, states[n - 1].reshape(n_traj, n_modes), n_grid)
-            rhs += fterm.reshape(-1)
-        states[n] = rhs / denom
-        if not np.all(np.isfinite(states[n])):
-            bad = int(np.flatnonzero(~np.isfinite(states[n]))[0])
-            raise SolverError(bad % n_modes + 1, n, bad // n_modes)
-    return states[n_steps].reshape(n_traj, n_modes)
+    if increments.ndim != 3 or increments.shape[1:] != (disc.n_steps, disc.n_modes):
+        raise ValueError(f"increments shaped {increments.shape}, "
+                         f"expected (n_traj, {disc.n_steps}, {disc.n_modes})")
+    return _advance(params, disc, increments, noise_amplitude)[-1]
 
 
 # ---------------------------------------------------------------------------

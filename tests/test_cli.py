@@ -210,6 +210,23 @@ def test_trajectory_command(tmp_path, axis):
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["study", "trajectory"])
+def test_seed_beyond_64_bits_rejected_by_both_commands(tmp_path, capsys, command):
+    cfg_path = _write_tiny_config(tmp_path, seed=2 ** 64)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not (out / "trajectory.bin").exists()
+
+
+def test_largest_seed_round_trips_through_trajectory_header(tmp_path):
+    cfg_path = _write_tiny_config(tmp_path, seed=2 ** 64 - 1)
+    out = tmp_path / "traj"
+    assert cli.main(["trajectory", "--config", str(cfg_path), "--out", str(out)]) == 0
+    _, meta = solver.load_trajectory(out / "trajectory.bin")
+    assert meta["seed"] == 2 ** 64 - 1
+
+
 def test_nonexistent_config_path(tmp_path, capsys):
     rc = cli.main(["study", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o")])

@@ -143,6 +143,14 @@ def test_config_rejects_arrays_beyond_physical_memory(axis, levels, fixed_other,
         _config(axis=axis, levels=levels, fixed_other=fixed_other)
 
 
+def test_config_rejects_error_accumulator_beyond_physical_memory():
+    # small chunks, but one squared error per trajectory and level
+    n_traj = 10 ** 13
+    with pytest.raises(ValueError,
+                       match=f"n_traj={n_traj} needs {8 * 3 * n_traj} bytes"):
+        _config(n_traj=n_traj)
+
+
 @pytest.mark.parametrize("axis, n_modes, n_steps", [("time", 8, 16), ("space", 16, 8)])
 def test_discretization_maps_level_to_grid(axis, n_modes, n_steps):
     disc = _config(axis=axis, t_final=0.02).discretization(16)   # fixed_other=8

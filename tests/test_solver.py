@@ -240,3 +240,62 @@ def test_trajectory_dump_round_trip(tmp_path):
     (tmp_path / "junk.bin").write_bytes(b"XXXX" + bytes(80))
     with pytest.raises(ValueError, match="not a trajectory dump"):
         solver.load_trajectory(tmp_path / "junk.bin")
+
+
+def _random_step_inputs(n, n_traj, n_modes, n_steps=48):
+    rng = np.random.default_rng(n)
+    tau = 0.01 / n_steps
+    weights = cq.cq_weights(0.7, tau, n_steps)
+    lam_s = spectral.eigenvalues(n_modes) ** 0.7
+    history = rng.standard_normal((n, n_traj, n_modes))
+    history[0] = 0.0
+    fterm = rng.standard_normal((n_traj, n_modes))
+    noise = rng.standard_normal((n_traj, n_modes)) / tau
+    return history, weights, lam_s, tau, fterm, noise
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 48])
+def test_batched_step_matches_path_by_path_steps(n):
+    history, weights, lam_s, tau, fterm, noise = _random_step_inputs(n, 5, 7)
+    batch = solver.step(history, weights, lam_s, tau, fterm, noise)
+    for j in range(5):
+        single = solver.step(history[:, j], weights, lam_s, tau, fterm[j], noise[j])
+        np.testing.assert_allclose(batch[j], single, rtol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 17, 48])
+def test_batched_step_keeps_the_ensemble_gemv_bits(n):
+    # the batched history sum is the one gemv over all n_traj*N columns
+    # that the ensemble stepper has always used, written out here
+    n_traj, n_modes, n_steps = 25, 16, 48
+    history, weights, lam_s, tau, fterm, noise = _random_step_inputs(
+        n, n_traj, n_modes, n_steps)
+    w_rev = weights[::-1].copy()
+    states2d = history.reshape(n, n_traj * n_modes)
+    hist_sum = (w_rev[n_steps - n:n_steps - 1] @ states2d[1:n]).reshape(n_traj, n_modes)
+    rhs = history[-1] / tau - lam_s * hist_sum + fterm + noise
+    expected = rhs / (1.0 / tau + weights[0] * lam_s)
+    got = solver.step(history, weights, lam_s, tau, fterm, noise)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_ensemble_error_locates_trajectory_mode_and_level():
+    params = _params(m=0.0)
+    disc = Discretization(n_modes=4, n_steps=4, tau=0.001)
+    bad = np.zeros((4, 4, 4))
+    bad[2, 1, 2] = 1e308       # trajectory 2, mode 3 overflows at time level 2
+    with np.errstate(over="ignore"):
+        with pytest.raises(SolverError) as info:
+            solver.run_ensemble(params, disc, bad, noise_amplitude=1e10)
+    err = info.value
+    assert (err.trajectory, err.mode, err.time_level) == (2, 3, 2)
+    assert str(err) == "non-finite coefficient in trajectory 2, mode 3 at time level 2"
+
+
+def test_entry_points_reject_the_other_rank():
+    params = _params()
+    disc = Discretization(n_modes=4, n_steps=6, tau=0.001)
+    with pytest.raises(ValueError, match="increments shaped"):
+        solver.run_trajectory(params, disc, np.zeros((1, 6, 4)))
+    with pytest.raises(ValueError, match="increments shaped"):
+        solver.run_ensemble(params, disc, np.zeros((6, 4)))

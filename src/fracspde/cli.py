@@ -8,18 +8,17 @@ Three subcommands:
 
 Configuration is a plain-text file of ``key = value`` lines (``#`` starts
 a comment).  The keys, their types and their defaults are the fields of
-:class:`~fracspde.experiments.ExperimentConfig`, except the diagnostic
-``noise_amplitude``; a key is required exactly when its field has no
-default:
+:class:`~fracspde.experiments.ExperimentConfig`; a key is required
+exactly when its field has no default:
 
     alpha, s, hurst, m     model parameters (floats)
+    t_final                final time (default 0.01)
+    nonlinearity           "sin" or "zero" (default sin)
     axis                   "time" or "space"
     levels                 comma-separated refinement ladder, e.g. 32,64,128
     fixed_other            resolution of the non-swept axis (int)
     n_traj                 Monte Carlo sample size (default 100)
     seed                   master seed, drives all randomness (default 0)
-    t_final                final time (default 0.01)
-    nonlinearity           "sin" or "zero" (default sin)
 
 Any key can be overridden on the command line with ``--set key=value``.
 Unknown or missing keys are reported by name.  There is no wall-clock
@@ -31,7 +30,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -40,25 +39,15 @@ import numpy as np
 from . import __version__, cq, fbm, mlf, solver
 from .experiments import ExperimentConfig, emit_table, run_convergence_study
 
-__all__ = ["RunSpec", "parse_config", "serialize_config", "run", "main"]
+__all__ = ["parse_config", "serialize_config", "main"]
 
 #: config key -> its ExperimentConfig field, in field order
-_FIELDS = {f.name: f for f in fields(ExperimentConfig) if f.name != "noise_amplitude"}
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 _TYPES = get_type_hints(ExperimentConfig)
-#: field type -> parser of the raw text
-_PARSERS = {float: float, int: int, str: str,
+#: field type -> parser of the raw text; ``object`` is the nonlinearity,
+#: which a config file can only name by its tag
+_PARSERS = {float: float, int: int, str: str, object: str,
             tuple: lambda raw: tuple(int(part.strip()) for part in raw.split(","))}
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One CLI invocation: command, config location, outputs, overrides."""
-
-    command: str
-    config_path: str | None = None
-    output_dir: str | None = None
-    overrides: tuple = ()
-    threads: int | None = None
 
 
 def _parse_entry(entry: str) -> tuple:
@@ -120,15 +109,14 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig, command: str) -> No
         fh.write("\n")
 
 
-def _load_config(spec: RunSpec) -> ExperimentConfig:
-    text = Path(spec.config_path).read_text()
-    return parse_config(text, spec.overrides)
+def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+    return parse_config(Path(args.config).read_text(), args.set or ())
 
 
-def _cmd_study(spec: RunSpec) -> int:
-    config = _load_config(spec)
-    result = run_convergence_study(config, threads=spec.threads)
-    out_dir = Path(spec.output_dir)
+def _cmd_study(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    result = run_convergence_study(config, threads=args.threads)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_table(result, out_dir / "table.csv")
     _write_manifest(out_dir, config, "study")
@@ -139,16 +127,15 @@ def _cmd_study(spec: RunSpec) -> int:
     return 0
 
 
-def _cmd_trajectory(spec: RunSpec) -> int:
-    config = _load_config(spec)
-    params = config.model_params()
+def _cmd_trajectory(args: argparse.Namespace) -> int:
+    config = _load_config(args)
     disc = config.discretization(config.levels[-1])
     increments = fbm.mode_increments(config.hurst, disc.tau, disc.n_steps,
                                      config.seed, disc.n_modes, [0])
-    states = solver.run_trajectory(params, disc, increments[0])
-    out_dir = Path(spec.output_dir)
+    states = solver.run_trajectory(config, disc, increments[0])
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    solver.dump_trajectory(out_dir / "trajectory.bin", states, params, disc,
+    solver.dump_trajectory(out_dir / "trajectory.bin", states, config, disc,
                            config.seed)
     _write_manifest(out_dir, config, "trajectory")
     print(f"wrote {out_dir / 'trajectory.bin'} "
@@ -240,7 +227,7 @@ def _selftest_solver_order() -> str:
     return f"scalar backward-Euler order {mean:.3f}"
 
 
-def _cmd_selftest(spec: RunSpec) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> int:
     suites = [
         ("fbm sampler statistics", _selftest_fbm),
         ("cq weight table", _selftest_cq),
@@ -267,15 +254,6 @@ _HANDLERS = {"study": _cmd_study, "trajectory": _cmd_trajectory,
              "selftest": _cmd_selftest}
 
 
-def run(spec: RunSpec) -> int:
-    """Execute one invocation; returns the process exit status."""
-    try:
-        return _HANDLERS[spec.command](spec)
-    except (ValueError, OSError, solver.SolverError, mlf.MittagLefflerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracspde",
@@ -296,13 +274,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line invocation; returns the process exit status."""
     args = _build_parser().parse_args(argv)
-    spec = RunSpec(command=args.command,
-                   config_path=getattr(args, "config", None),
-                   output_dir=getattr(args, "out", None),
-                   overrides=tuple(getattr(args, "set", None) or ()),
-                   threads=getattr(args, "threads", None))
-    return run(spec)
+    try:
+        return _HANDLERS[args.command](args)
+    except (ValueError, OSError, solver.SolverError, mlf.MittagLefflerError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

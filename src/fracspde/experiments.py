@@ -13,13 +13,13 @@ largest mode count.  Observed rates are log2 ratios of consecutive errors
 and are attached to the coarser of the two levels.
 
 The predicted rates come from the regularity exponents of the model: with
-noise spectrum Lambda_k = k^m in d = 1 dimensions let
+noise spectrum Lambda_k = k^m on the interval (dimension d = 1) let
 
-    rho   = max(0, (1 + m) d / 4)
+    rho   = max(0, (1 + m) / 4)
     sigma = max(0, min(s - rho, s H / alpha - rho))
 
 Then the expected temporal order is H - rho * alpha / s and the spatial
-order (in the mode count N) is 2 sigma / d.
+order (in the mode count N) is 2 sigma.
 
 Trajectories are processed in fixed chunks of 25.  With more than one
 worker the chunks run in forked worker processes, each with numpy's
@@ -32,7 +32,7 @@ for any worker count.
 from __future__ import annotations
 
 import ctypes
-import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -68,43 +68,49 @@ class RatePrediction:
     spatial: float
 
 
-def predict_rates(params: ModelParams, dim: int = 1) -> RatePrediction:
-    """Theoretical strong convergence orders for a parameter set."""
-    rho = max(0.0, (1.0 + params.m) * dim / 4.0)
+def predict_rates(params: ModelParams) -> RatePrediction:
+    """Theoretical strong convergence orders for a parameter set (d = 1)."""
+    rho = max(0.0, (1.0 + params.m) / 4.0)
     temporal = max(0.0, params.hurst - rho * params.alpha / params.s)
     sigma = max(0.0, min(params.s - rho,
                          params.s * params.hurst / params.alpha - rho))
     return RatePrediction(rho=rho, sigma=sigma, temporal=temporal,
-                          spatial=2.0 * sigma / dim)
+                          spatial=2.0 * sigma)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One convergence study: model parameters plus the refinement ladder.
+def _as_int(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
-    ``axis`` selects what is refined: "time" sweeps the step count over
-    ``levels`` at ``fixed_other`` modes, "space" sweeps the mode count at
-    ``fixed_other`` steps.  Levels must double from one to the next so the
-    coupled refinement (one extra run at twice the finest level) lines up.
-    ``noise_amplitude`` scales the noise and exists for diagnostics; 0
-    makes the dynamics deterministic.
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(ModelParams):
+    """One convergence study: a model instance plus its refinement ladder.
+
+    The model fields (alpha, s, hurst, m, t_final, nonlinearity), their
+    defaults and their checks are :class:`ModelParams`'s, so a config is
+    passed wherever a ``ModelParams`` is taken.  ``axis`` selects what is
+    refined: "time" sweeps the step count over ``levels`` at
+    ``fixed_other`` modes, "space" sweeps the mode count at
+    ``fixed_other`` steps.  Levels must double from one to the next so
+    the coupled refinement (one extra run at twice the finest level) lines
+    up.  ``n_traj`` trajectories are drawn from ``seed``.
     """
 
-    alpha: float
-    s: float
-    hurst: float
-    m: float
     axis: str
     levels: tuple
     fixed_other: int
     n_traj: int = 100
     seed: int = 0
-    t_final: float = 0.01
-    nonlinearity: str = "sin"
-    noise_amplitude: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
+        super().__post_init__()
+        object.__setattr__(self, "levels",
+                           tuple(_as_int("levels", v) for v in self.levels))
+        for name in ("fixed_other", "n_traj", "seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         if self.axis not in _AXES:
             raise ValueError(f"axis must be 'time' or 'space', got {self.axis!r}")
         if not self.levels:
@@ -121,11 +127,6 @@ class ExperimentConfig:
             raise ValueError(f"n_traj must be >= 2, got {self.n_traj}")
         if not 0 <= self.seed < 2 ** 64:     # trajectory.bin stores it as <u8
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if not (math.isfinite(self.noise_amplitude) and self.noise_amplitude >= 0.0):
-            raise ValueError(f"noise_amplitude must be finite and >= 0, "
-                             f"got {self.noise_amplitude}")
-        # delegate the remaining parameter validation
-        self.model_params()
         self._check_memory()
 
     def _check_memory(self) -> None:
@@ -162,11 +163,6 @@ class ExperimentConfig:
                             else (level, self.fixed_other))
         return Discretization(n_modes=n_modes, n_steps=n_steps,
                               tau=self.t_final / n_steps)
-
-    def model_params(self) -> ModelParams:
-        return ModelParams(alpha=self.alpha, s=self.s, hurst=self.hurst,
-                           m=self.m, t_final=self.t_final,
-                           nonlinearity=self.nonlinearity)
 
 
 @dataclass(frozen=True)
@@ -220,7 +216,6 @@ def _chunk_squared_errors(config: ExperimentConfig, trajectories) -> np.ndarray:
     axis coarsens steps and the space axis drops modes.  A solver failure
     is re-raised with the level and the absolute trajectory index.
     """
-    params = config.model_params()
     all_levels = list(config.levels) + [2 * config.levels[-1]]
     fine = config.discretization(all_levels[-1])
     increments = fbm.mode_increments(config.hurst, fine.tau, fine.n_steps,
@@ -235,7 +230,7 @@ def _chunk_squared_errors(config: ExperimentConfig, trajectories) -> np.ndarray:
             coarse = coarse.reshape(
                 len(trajectories), disc.n_steps, group, disc.n_modes).sum(axis=2)
         try:
-            final = run_ensemble(params, disc, coarse, config.noise_amplitude)
+            final = run_ensemble(config, disc, coarse)
         except SolverError as exc:
             raise SolverError(exc.mode, exc.time_level, trajectories[exc.trajectory],
                               context=f"level {level}: ") from exc
@@ -328,8 +323,8 @@ def run_convergence_study(config: ExperimentConfig,
     (a GUI, a server, a thread pool) should pass ``threads=1``, since a
     forked child can deadlock on a lock one of those threads held.  The
     observed rate log2(e_l / e_{l+1}) sits on the coarser level's row; the
-    finest row has none.  Rates are omitted (None) when an error vanishes,
-    e.g. with zero noise amplitude.
+    finest row has none.  Rates are omitted (None) when an error vanishes
+    or is not finite.
     """
     n_traj = config.n_traj
     chunks = [range(lo, min(lo + _CHUNK, n_traj))
@@ -352,7 +347,7 @@ def run_convergence_study(config: ExperimentConfig,
         rows.append(LevelResult(level=level, error=float(errors[i]),
                                 observed_rate=rate))
     return StudyResult(config=config,
-                       prediction=predict_rates(config.model_params()),
+                       prediction=predict_rates(config),
                        rows=tuple(rows))
 
 

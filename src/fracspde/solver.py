@@ -112,10 +112,6 @@ class Discretization:
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
-    @property
-    def t_final(self) -> float:
-        return self.tau * self.n_steps
-
 
 class SolverError(RuntimeError):
     """A state coefficient became non-finite.
@@ -153,13 +149,13 @@ def step(history: np.ndarray, weights: np.ndarray, lam_s: np.ndarray, tau: float
     return rhs / (1.0 / tau + weights[0] * lam_s)
 
 
-def _advance(params: ModelParams, disc: Discretization, increments: np.ndarray,
-             noise_amplitude: float) -> np.ndarray:
+def _advance(params: ModelParams, disc: Discretization,
+             increments: np.ndarray) -> np.ndarray:
     """States (L+1, *batch, N) from increments (*batch, L, N), batch () or (n_traj,)."""
     n_modes, tau = disc.n_modes, disc.tau
     lam_s = spectral.eigenvalues(n_modes) ** params.s
     weights = cq.cq_weights(1.0 - params.alpha, tau, disc.n_steps)
-    amp = noise_amplitude * np.arange(1, n_modes + 1, dtype=float) ** (0.5 * params.m)
+    amp = np.arange(1, n_modes + 1, dtype=float) ** (0.5 * params.m)
     noise = np.ascontiguousarray(np.moveaxis(amp * increments / tau, -2, 0))
     f = params.f
     states = np.zeros((disc.n_steps + 1,) + noise.shape[1:])
@@ -175,7 +171,7 @@ def _advance(params: ModelParams, disc: Discretization, increments: np.ndarray,
 
 
 def run_trajectory(params: ModelParams, disc: Discretization,
-                   increments: np.ndarray, noise_amplitude: float = 1.0) -> np.ndarray:
+                   increments: np.ndarray) -> np.ndarray:
     """Advance one trajectory; returns states of shape (L+1, N).
 
     ``increments`` is the (L, N) array of raw fGn increments for modes
@@ -186,11 +182,11 @@ def run_trajectory(params: ModelParams, disc: Discretization,
     if increments.shape != (disc.n_steps, disc.n_modes):
         raise ValueError(f"increments shaped {increments.shape}, "
                          f"expected ({disc.n_steps}, {disc.n_modes})")
-    return _advance(params, disc, increments, noise_amplitude)
+    return _advance(params, disc, increments)
 
 
 def run_ensemble(params: ModelParams, disc: Discretization,
-                 increments: np.ndarray, noise_amplitude: float = 1.0) -> np.ndarray:
+                 increments: np.ndarray) -> np.ndarray:
     """Advance a batch of trajectories; returns final coefficients (n_traj, N).
 
     ``increments`` is (n_traj, L, N).  Each path follows ``run_trajectory``'s
@@ -202,7 +198,7 @@ def run_ensemble(params: ModelParams, disc: Discretization,
     if increments.ndim != 3 or increments.shape[1:] != (disc.n_steps, disc.n_modes):
         raise ValueError(f"increments shaped {increments.shape}, "
                          f"expected (n_traj, {disc.n_steps}, {disc.n_modes})")
-    return _advance(params, disc, increments, noise_amplitude)[-1]
+    return _advance(params, disc, increments)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +238,23 @@ def load_trajectory(path):
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a trajectory dump")
-        header = np.frombuffer(fh.read(_HEADER_DTYPE.itemsize), dtype=_HEADER_DTYPE)[0]
-        payload = np.frombuffer(fh.read(), dtype="<f8")
+        header = fh.read(_HEADER_DTYPE.itemsize)
+        payload = fh.read()
+    if len(header) != _HEADER_DTYPE.itemsize:
+        raise ValueError(f"{path}: truncated header")
+    header = np.frombuffer(header, dtype=_HEADER_DTYPE)[0]
     n_modes, n_steps = int(header["n_modes"]), int(header["n_steps"])
-    if payload.size != (n_steps + 1) * n_modes:
+    if len(payload) != 8 * (n_steps + 1) * n_modes:
         raise ValueError(f"{path}: truncated payload")
-    states = payload.reshape(n_steps + 1, n_modes).copy()
+    states = np.frombuffer(payload, dtype="<f8").reshape(n_steps + 1, n_modes).copy()
     codes = {v: k for k, v in _NL_CODES.items()}
     codes[2] = "custom"
+    code = int(header["nonlinearity"])
+    if code not in codes:
+        raise ValueError(f"{path}: unknown nonlinearity code {code}")
     meta = {"alpha": float(header["alpha"]), "s": float(header["s"]),
             "hurst": float(header["hurst"]), "m": float(header["m"]),
             "t_final": float(header["t_final"]), "tau": float(header["tau"]),
             "n_modes": n_modes, "n_steps": n_steps, "seed": int(header["seed"]),
-            "nonlinearity": codes[int(header["nonlinearity"])]}
+            "nonlinearity": codes[code]}
     return states, meta

@@ -35,7 +35,6 @@ import numpy as np
 from scipy.fft import dst
 
 __all__ = [
-    "eigenvalue",
     "eigenvalues",
     "grid_nodes",
     "project",
@@ -60,21 +59,8 @@ def _sine_matrix(n_modes: int, n_points: int) -> np.ndarray:
     return mat
 
 
-def eigenvalue(k: int) -> float:
-    """Eigenvalue lambda_k = (k*pi)^2 of the Dirichlet Laplacian on (0,1).
-
-    Parameters
-    ----------
-    k : int
-        Mode index, k >= 1.
-    """
-    if k < 1:
-        raise ValueError(f"mode index must be >= 1, got {k}")
-    return (k * math.pi) ** 2
-
-
 def eigenvalues(n_modes: int) -> np.ndarray:
-    """Array [lambda_1, ..., lambda_N]."""
+    """Eigenvalues [lambda_1, ..., lambda_N], lambda_k = (k*pi)^2."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     return (np.arange(1, n_modes + 1) * math.pi) ** 2

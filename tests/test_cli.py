@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from fracspde import cli, solver
-from fracspde.cli import RunSpec, parse_config, serialize_config
+from fracspde.cli import parse_config, serialize_config
 from fracspde.experiments import ExperimentConfig
+from fracspde.solver import ModelParams
 
 MINIMAL = """
 # Table-1-style temporal study, desk scale
@@ -34,6 +35,10 @@ def test_parse_minimal_config_with_defaults():
     assert cfg.t_final == 0.01
     assert cfg.n_traj == 100
     assert cfg.nonlinearity == "sin"
+
+
+def test_parsed_config_is_model_parameters():
+    assert isinstance(parse_config(MINIMAL), ModelParams)
 
 
 def test_parse_rejects_unknown_key():
@@ -103,7 +108,7 @@ def test_config_round_trip():
 
 
 def test_config_keys_are_the_experiment_config_fields(tmp_path):
-    expected = {f.name for f in fields(ExperimentConfig)} - {"noise_amplitude"}
+    expected = {f.name for f in fields(ExperimentConfig)}
     assert set(cli._FIELDS) == expected
     cfg = parse_config(MINIMAL)
     lines = serialize_config(cfg).splitlines()
@@ -243,7 +248,7 @@ def test_invalid_override_returns_nonzero(tmp_path, capsys):
 
 
 def test_selftest_passes(capsys):
-    assert cli.run(RunSpec(command="selftest")) == 0
+    assert cli.main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("ok ") >= 5
     assert "ok   cq history kernel: " in out

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -130,6 +131,38 @@ def test_config_bounds():
         _config(fixed_other=0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("levels", (4.7, 8.2)),
+    ("levels", (4.0, 8.0)),
+    ("fixed_other", 8.5),
+    ("n_traj", 6.5),
+    ("seed", 1.0),
+    ("seed", "3"),
+])
+def test_config_rejects_non_integral_settings(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
+        _config(**{key: value})
+
+
+def test_config_takes_numpy_integers_as_ints():
+    cfg = _config(levels=np.array([4, 8]), fixed_other=np.int64(8),
+                  n_traj=np.int32(6), seed=np.uint64(2 ** 64 - 1))
+    assert cfg.levels == (4, 8) and type(cfg.levels[0]) is int
+    for key in ("fixed_other", "n_traj", "seed"):
+        assert type(getattr(cfg, key)) is int, key
+    assert cfg.seed == 2 ** 64 - 1
+
+
+def test_config_is_the_model_parameters():
+    cfg = _config(t_final=0.02, nonlinearity="zero")
+    assert isinstance(cfg, ModelParams)
+    assert predict_rates(cfg) == predict_rates(
+        ModelParams(alpha=0.3, s=0.7, hurst=0.8, m=-1.0))
+    model_defaults = {f.name: f.default for f in fields(ModelParams)}
+    config_defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    assert {key: config_defaults[key] for key in model_defaults} == model_defaults
+
+
 @pytest.mark.parametrize("axis, levels, fixed_other, n_steps, n_modes", [
     ("time", (2 ** 39, 2 ** 40), 8, 2 ** 41, 8),
     ("space", (2 ** 40,), 16, 16, 2 ** 41),
@@ -168,7 +201,7 @@ def test_chunk_errors_match_hand_coupled_levels(axis, fixed_other):
     # N modes of the widest one
     cfg = _config(axis=axis, levels=(2, 4), fixed_other=fixed_other, hurst=0.3)
     trajectories = range(3, 7)
-    params, t_final = cfg.model_params(), cfg.t_final
+    t_final = cfg.t_final
     finest = 8
     if axis == "time":
         draw = fbm.mode_increments(cfg.hurst, t_final / finest, finest, cfg.seed,
@@ -186,7 +219,7 @@ def test_chunk_errors_match_hand_coupled_levels(axis, fixed_other):
         else:
             increments = draw[:, :, :level]
             disc = solver.Discretization(level, fixed_other, t_final / fixed_other)
-        finals.append(solver.run_ensemble(params, disc, increments))
+        finals.append(solver.run_ensemble(cfg, disc, increments))
     expected = np.array([pathwise_error(a, b) ** 2
                          for a, b in zip(finals, finals[1:])])
     got = experiments._chunk_squared_errors(cfg, trajectories)
@@ -195,8 +228,12 @@ def test_chunk_errors_match_hand_coupled_levels(axis, fixed_other):
 
 
 
-def test_zero_noise_gives_empty_rates():
-    res = run_convergence_study(_config(noise_amplitude=0.0))
+def test_zero_noise_gives_empty_rates(monkeypatch):
+    def no_noise(hurst, tau, n_steps, seed, n_modes, trajectories):
+        return np.zeros((len(trajectories), n_steps, n_modes))
+
+    monkeypatch.setattr(experiments.fbm, "mode_increments", no_noise)
+    res = run_convergence_study(_config())
     assert all(row.error == 0.0 for row in res.rows)
     assert all(row.observed_rate is None for row in res.rows)
 
@@ -383,7 +420,7 @@ def test_in_process_study_does_not_depend_on_caller_blas_threads():
 
 def test_emit_table_format():
     cfg = _config()
-    res = StudyResult(config=cfg, prediction=predict_rates(cfg.model_params()),
+    res = StudyResult(config=cfg, prediction=predict_rates(cfg),
                       rows=(LevelResult(32, 0.000123456789, 0.5),
                             LevelResult(64, 1e-05, None)))
     buf = io.StringIO()
@@ -395,7 +432,7 @@ def test_emit_table_format():
 
 def test_emit_table_header_only():
     cfg = _config()
-    res = StudyResult(config=cfg, prediction=predict_rates(cfg.model_params()),
+    res = StudyResult(config=cfg, prediction=predict_rates(cfg),
                       rows=())
     buf = io.StringIO()
     emit_table(res, buf)

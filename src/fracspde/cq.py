@@ -26,6 +26,11 @@ __all__ = [
     "weights_by_contour",
 ]
 
+#: decimal digits of the series oracle's mpmath arithmetic
+_SERIES_DPS = 50
+#: points on the contour oracle's circle
+_CONTOUR_POINTS = 4096
+
 
 def cq_weights(a: float, tau: float, n_weights: int) -> np.ndarray:
     """Weights d_0 .. d_{n_weights-1} of order ``a`` at step ``tau``.
@@ -64,7 +69,7 @@ def apply_cq_history(weights: np.ndarray, history: np.ndarray) -> np.ndarray:
     return np.einsum("i,i...->...", weights[:n], history[::-1])
 
 
-def weights_by_series(a: float, tau: float, n_weights: int, dps: int = 50) -> np.ndarray:
+def weights_by_series(a: float, tau: float, n_weights: int) -> np.ndarray:
     """Oracle: coefficients of exp(a*log(1-z))/tau^a by power-series composition.
 
     log(1-z) = -sum_{m>=1} z^m/m, then B = exp(A) coefficient recurrence
@@ -72,7 +77,7 @@ def weights_by_series(a: float, tau: float, n_weights: int, dps: int = 50) -> np
     """
     import mpmath as mp
 
-    with mp.workdps(dps):
+    with mp.workdps(_SERIES_DPS):
         aa = mp.mpf(a)
         log_coeffs = [mp.mpf(0)] + [-aa / m for m in range(1, n_weights)]
         out = [mp.mpf(1)] + [mp.mpf(0)] * (n_weights - 1)
@@ -85,16 +90,15 @@ def weights_by_series(a: float, tau: float, n_weights: int, dps: int = 50) -> np
         return np.array([float(b * scale) for b in out])
 
 
-def weights_by_contour(a: float, tau: float, n_weights: int,
-                       n_points: int = 4096) -> np.ndarray:
+def weights_by_contour(a: float, tau: float, n_weights: int) -> np.ndarray:
     """Oracle: Cauchy coefficient extraction of ((1-z)/tau)^a on |z| = r.
 
     d_j = (1/(M r^j)) sum_l g(r e^{2 pi i l/M}) e^{-2 pi i j l/M}.  Accuracy
-    is limited by the radius/rounding tradeoff (~1e-8 relative for the
-    defaults), so this is the *secondary* oracle.
+    is limited by the radius/rounding tradeoff (~1e-8 relative at M =
+    4096 points), so this is the *secondary* oracle.
     """
-    r = 1e-10 ** (1.0 / n_points)
-    z = r * np.exp(2j * np.pi * np.arange(n_points) / n_points)
+    r = 1e-10 ** (1.0 / _CONTOUR_POINTS)
+    z = r * np.exp(2j * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS)
     g = ((1.0 - z) / tau) ** a
-    coeffs = np.fft.fft(g).real / n_points
+    coeffs = np.fft.fft(g).real / _CONTOUR_POINTS
     return coeffs[:n_weights] / r ** np.arange(n_weights)

@@ -135,22 +135,27 @@ class ExperimentConfig(ModelParams):
         The largest arrays of one chunk are its increments, noise forcing
         and states, each about 8 B x (L+1) x chunk x N at the finest step
         count L and the widest mode count N.  The study also keeps every
-        trajectory's squared error at every level, 8 B x levels x n_traj.
+        trajectory's squared error at every level, 8 B x levels x n_traj,
+        and one cached (N, 2N) sine matrix, 16 B x N^2, per mode count.
         """
         finest = self.discretization(2 * self.levels[-1])
         per_chunk = (3 * 8 * (finest.n_steps + 1) * min(self.n_traj, _CHUNK)
                      * finest.n_modes)
         accumulator = 8 * len(self.levels) * self.n_traj
+        mode_counts = {self.discretization(level).n_modes
+                       for level in self.levels + (2 * self.levels[-1],)}
+        sine_matrices = sum(16 * n * n for n in mode_counts)
         try:
             physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, ValueError, OSError):   # platform does not say
             return
-        if per_chunk + accumulator > physical:
+        if per_chunk + accumulator + sine_matrices > physical:
             raise ValueError(
                 f"levels or n_traj too large: L={finest.n_steps} steps x "
                 f"N={finest.n_modes} modes needs about {per_chunk} bytes per chunk, "
-                f"n_traj={self.n_traj} needs {accumulator} bytes of errors; "
-                f"physical memory is {physical} bytes")
+                f"n_traj={self.n_traj} needs {accumulator} bytes of errors, "
+                f"mode counts {sorted(mode_counts)} need {sine_matrices} bytes "
+                f"of sine matrices; physical memory is {physical} bytes")
 
     def discretization(self, level: int) -> Discretization:
         """The grid of one refinement level.

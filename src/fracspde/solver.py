@@ -13,9 +13,8 @@ with d_i the CQ weights of order 1-alpha.  The implicit factor is a
 per-mode positive scalar, so no linear algebra beyond a division is
 needed.  The nonlinear term is evaluated pseudo-spectrally (synthesize on
 a 2x-oversampled grid of M = 2N nodes, apply f pointwise, project back).
-``spectral`` does both transforms as products with a cached sine matrix
-up to M = 512 (N = 256) and as DST-I above; both are exact on the same
-grid and quadrature, so the choice only moves rounding.
+``spectral`` does both transforms as products with a cached (N, 2N) sine
+matrix.
 
 One core, ``_advance``, runs the time loop for both entry points:
 ``run_trajectory`` advances one path with states (L+1, N) and keeps the
@@ -243,18 +242,15 @@ def load_trajectory(path):
     if len(header) != _HEADER_DTYPE.itemsize:
         raise ValueError(f"{path}: truncated header")
     header = np.frombuffer(header, dtype=_HEADER_DTYPE)[0]
-    n_modes, n_steps = int(header["n_modes"]), int(header["n_steps"])
+    meta = {name: header[name].item() for name in _HEADER_DTYPE.names}
+    n_modes, n_steps = meta["n_modes"], meta["n_steps"]
     if len(payload) != 8 * (n_steps + 1) * n_modes:
         raise ValueError(f"{path}: truncated payload")
     states = np.frombuffer(payload, dtype="<f8").reshape(n_steps + 1, n_modes).copy()
     codes = {v: k for k, v in _NL_CODES.items()}
     codes[2] = "custom"
-    code = int(header["nonlinearity"])
+    code = meta["nonlinearity"]
     if code not in codes:
         raise ValueError(f"{path}: unknown nonlinearity code {code}")
-    meta = {"alpha": float(header["alpha"]), "s": float(header["s"]),
-            "hurst": float(header["hurst"]), "m": float(header["m"]),
-            "t_final": float(header["t_final"]), "tau": float(header["tau"]),
-            "n_modes": n_modes, "n_steps": n_steps, "seed": int(header["seed"]),
-            "nonlinearity": codes[code]}
+    meta["nonlinearity"] = codes[code]
     return states, meta

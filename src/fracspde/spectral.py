@@ -10,18 +10,14 @@ Grid convention
 ---------------
 All grid-based operations use M interior nodes x_j = j/(M+1), j = 1..M,
 and the quadrature rule int_0^1 u v dx ~= (1/(M+1)) * sum_j u(x_j) v(x_j).
-On that grid ``project`` and ``synthesize`` are the type-I discrete sine
-transform, which makes them exact inverses on span{phi_1..phi_N} whenever
-N <= M, with the quadrature exact on the resolved span.
+On that grid the sampled eigenfunctions are discretely orthonormal, so
+``project`` and ``synthesize`` are exact inverses on span{phi_1..phi_N}
+whenever N <= M, with the quadrature exact on the resolved span.
 
-Both evaluate the same sums in one of two ways.  Up to
-``_DENSE_MAX_POINTS`` grid nodes they multiply by the cached sine matrix
+Both multiply by the cached, read-only sine matrix
 B[k-1, j-1] = phi_k(x_j), shape (N, M): synthesis is c @ B and projection
-is v @ B.T / (M+1).  Above it they call scipy's DST-I, an FFT of length
-2(M+1).  Both are exact on the same grid and quadrature and agree to
-rounding (~1e-15 relative).  The crossover, M = 512, is where the measured
-cost of the full nonlinear term (synthesize, f, project) changes sides on
-grids whose DST-I length factors well; BENCH_3.json holds the table.
+is v @ B.T / (M+1).  The matrix holds 8*N*M bytes, 16*N^2 on the solver's
+M = 2N grid.
 
 Projecting a *nonlinear* function of a field is only alias-free when the
 grid oversamples the modes; ``project`` therefore rejects N > M/2.
@@ -32,7 +28,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.fft import dst
 
 __all__ = [
     "eigenvalues",
@@ -42,10 +37,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-#: largest grid (M nodes) on which the transforms use the dense sine
-#: matrix rather than the DST-I; measured crossover, see BENCH_3.json.
-_DENSE_MAX_POINTS = 512
 
 
 @functools.lru_cache(maxsize=16)
@@ -77,9 +68,9 @@ def project(grid_values: np.ndarray, n_modes: int) -> np.ndarray:
     """Sine coefficients (u, phi_k), k = 1..N, of grid samples of u.
 
     ``grid_values`` holds samples on the M interior nodes of
-    :func:`grid_nodes` along the last axis.  The quadrature is the DST-I
-    rule with uniform weight 1/(M+1); it reproduces exact L^2 inner
-    products for u in span{phi_1..phi_M}.
+    :func:`grid_nodes` along the last axis.  The quadrature has the
+    uniform weight 1/(M+1); it reproduces exact L^2 inner products for u
+    in span{phi_1..phi_M}.
 
     N is capped at M/2 so that projections of *nonlinearly transformed*
     fields stay alias-free (2x oversampling).
@@ -92,9 +83,7 @@ def project(grid_values: np.ndarray, n_modes: int) -> np.ndarray:
         raise ValueError(
             f"n_modes={n_modes} exceeds the alias-free capacity M/2={m / 2:g} "
             f"of a grid with {m} nodes")
-    if m <= _DENSE_MAX_POINTS:
-        return grid_values @ _sine_matrix(n_modes, m).T / (m + 1)
-    return dst(grid_values, type=1, axis=-1)[..., :n_modes] / (_SQRT2 * (m + 1))
+    return grid_values @ _sine_matrix(n_modes, m).T / (m + 1)
 
 
 def synthesize(coeffs: np.ndarray, n_points: int) -> np.ndarray:
@@ -107,8 +96,4 @@ def synthesize(coeffs: np.ndarray, n_points: int) -> np.ndarray:
     n = coeffs.shape[-1]
     if n_points < n:
         raise ValueError(f"grid with {n_points} nodes cannot carry {n} modes")
-    if n_points <= _DENSE_MAX_POINTS:
-        return coeffs @ _sine_matrix(n, n_points)
-    padded = np.zeros(coeffs.shape[:-1] + (n_points,))
-    padded[..., :n] = coeffs
-    return dst(padded, type=1, axis=-1) / _SQRT2
+    return coeffs @ _sine_matrix(n, n_points)

@@ -176,6 +176,15 @@ def test_config_rejects_arrays_beyond_physical_memory(axis, levels, fixed_other,
         _config(axis=axis, levels=levels, fixed_other=fixed_other)
 
 
+def test_config_rejects_sine_matrices_beyond_physical_memory():
+    # one chunk of one step is small, but the (N, 2N) matrices of the
+    # nonlinear term at N = 2**20 and 2**21 are not
+    with pytest.raises(ValueError,
+                       match=rf"mode counts \[{2 ** 20}, {2 ** 21}\] need "
+                             rf"{16 * (2 ** 40 + 2 ** 42)} bytes of sine matrices"):
+        _config(axis="space", levels=(2 ** 20,), fixed_other=1, n_traj=2)
+
+
 def test_config_rejects_error_accumulator_beyond_physical_memory():
     # small chunks, but one squared error per trajectory and level
     n_traj = 10 ** 13
@@ -327,7 +336,7 @@ def test_cli_import_loads_no_process_pool():
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, fracspde.cli; print(sorted({'multiprocessing', "
-         "'concurrent.futures.process'} & set(sys.modules)))"],
+         "'concurrent.futures.process', 'scipy'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
 

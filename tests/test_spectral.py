@@ -90,9 +90,6 @@ def test_round_trip_property(n_modes, seed):
     np.testing.assert_allclose(back, coeffs, atol=1e-12)
 
 
-_DENSE = spectral._DENSE_MAX_POINTS
-
-
 def _assert_close_to_scale(actual, expected, rtol=1e-13):
     # also relative to the largest entry: a few entries are sums that
     # cancel to ~1e-3 of the array's scale, and their rounding error is set
@@ -102,12 +99,12 @@ def _assert_close_to_scale(actual, expected, rtol=1e-13):
 
 
 @pytest.mark.parametrize("leading", [(), (25,), (3, 4)])
-@pytest.mark.parametrize("m_extra", [0, 2])
+@pytest.mark.parametrize("m_extra", [0, 2, 128, 256, 512])
 @pytest.mark.parametrize("n_modes", [1, 7, 64, 100, 128])
 def test_transforms_match_scipy_dst_oracle(n_modes, m_extra, leading):
-    # M on both sides of the crossover: the dense matrix at the constant,
-    # the DST-I on the next even grid above it
-    m = _DENSE + m_extra
+    # M from 512 to 1024, on grids whose M+1 is prime (641, 769) or not
+    # (513, 515, 1025), against scipy's FFT-based DST-I
+    m = 512 + m_extra
     rng = np.random.default_rng(n_modes + m)
     coeffs = rng.standard_normal(leading + (n_modes,))
     padded = np.zeros(leading + (m,))
@@ -142,8 +139,8 @@ def test_sine_matrix_is_cached_read_only():
 
 def test_dense_project_rejects_aliased_request():
     with pytest.raises(ValueError, match="alias-free"):
-        spectral.project(np.zeros(_DENSE), _DENSE // 2 + 1)
+        spectral.project(np.zeros(512), 257)
     with pytest.raises(ValueError, match="alias-free"):
         spectral.project(np.zeros((25, 31)), 16)
     with pytest.raises(ValueError):
-        spectral.synthesize(np.ones(_DENSE + 1), _DENSE)
+        spectral.synthesize(np.ones(513), 512)

@@ -115,9 +115,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_study(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    result = run_convergence_study(config, threads=args.threads)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)   # a bad --out fails before the run
+    result = run_convergence_study(config, threads=args.threads)
     emit_table(result, out_dir / "table.csv")
     _write_manifest(out_dir, config, "study")
     for row in result.rows:
@@ -129,12 +129,12 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
 def _cmd_trajectory(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)   # a bad --out fails before the run
     disc = config.discretization(config.levels[-1])
     increments = fbm.mode_increments(config.hurst, disc.tau, disc.n_steps,
                                      config.seed, disc.n_modes, [0])
     states = solver.run_trajectory(config, disc, increments[0])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     solver.dump_trajectory(out_dir / "trajectory.bin", states, config, disc,
                            config.seed)
     _write_manifest(out_dir, config, "trajectory")
@@ -159,6 +159,25 @@ def _selftest_fbm() -> str:
         raise AssertionError(
             f"Var(W(T)) = {var:.4g}, expected {target:.4g} +- {5 * se:.2g}")
     return f"endpoint variance {var:.4g} vs {target:.4g}"
+
+
+def _selftest_fbm_keys() -> str:
+    # the vectorised key pass re-implements numpy's SeedSequence hash; a
+    # numpy release that changes that hash shows up here
+    cases = [(0, 1, 0), (7, 3, 12), (2 ** 64 - 1, 1, 2 ** 31),
+             (2 ** 64 - 1, 2 ** 32 - 1, 2 ** 32 - 1), (12345, 2, 2 ** 40)]
+    for seed, mode, traj in cases:
+        got = fbm._philox_keys(seed, [mode], [traj])[0, 0]
+        want = np.random.SeedSequence(seed, spawn_key=(mode, traj)).generate_state(
+            2, np.uint64)
+        if not np.array_equal(got, want):
+            raise AssertionError(f"seed {seed}, mode {mode}, trajectory {traj}: "
+                                 f"key {got.tolist()} != SeedSequence {want.tolist()}")
+    # and a re-keyed generator starts where a fresh Philox stream does
+    drawn = fbm.mode_increments(0.8, 1.0, 4, 7, 3, [12])[0, :, 2]
+    if not np.array_equal(drawn, fbm.sample_fbm_circulant(0.8, 1.0, 4, fbm._stream(7, 3, 12))[0]):
+        raise AssertionError("re-keyed draws differ from the (7, 3, 12) stream's")
+    return f"{len(cases)} keys equal SeedSequence's (numpy {np.__version__}), draws equal"
 
 
 def _selftest_cq() -> str:
@@ -230,6 +249,7 @@ def _selftest_solver_order() -> str:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     suites = [
         ("fbm sampler statistics", _selftest_fbm),
+        ("fbm stream keys", _selftest_fbm_keys),
         ("cq weight table", _selftest_cq),
         ("cq history kernel", _selftest_cq_history),
         ("mittag-leffler values", _selftest_mlf),

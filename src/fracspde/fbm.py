@@ -25,10 +25,19 @@ of how many other modes or trajectories are generated).  Each mode is one
 sampler call over the trajectories' streams; every stream still consumes
 its normals in the fixed per-row layout, so the batching does not change
 a single draw.
+
+A stream is the Philox generator that ``SeedSequence`` keys; everything
+else in its state starts at zero.  So :func:`mode_increments` computes
+the keys of all its streams in one pass of uint32 array arithmetic (the
+``SeedSequence`` hash, :func:`_philox_keys`) and draws every row from one
+Philox generator re-keyed per row, instead of building a ``SeedSequence``,
+a ``Philox`` and a ``Generator`` per stream.  The draws are those of
+:func:`_stream`, bit for bit.
 """
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 
 import numpy as np
@@ -136,21 +145,132 @@ def sample_fbm_circulant(h: float, tau: float, n_steps: int,
         raise ValueError(
             f"circulant embedding for H={h}, L={n_steps} has eigenvalue "
             f"{eigs.min():.3e}; the fGn embedding must be nonnegative definite")
-    eigs = np.clip(eigs, 0.0, None)
+    root = np.sqrt(np.clip(eigs, 0.0, None))
     m = 2 * n_steps
     z = _normals(rng, n_paths, m)
+    # xi_j = sqrt(eigs_j) * (sqrt(m/2) * (Re + i Im)), conjugate symmetric;
+    # each part is written in place with the products of that complex
+    # expression in its order, so every element keeps its bits
     xi = np.empty(z.shape, dtype=complex)
-    xi[:, 0] = math.sqrt(m) * z[:, 0]
-    xi[:, n_steps] = math.sqrt(m) * z[:, 1]
-    xi[:, 1:n_steps] = math.sqrt(m / 2.0) * (z[:, 2:n_steps + 1] + 1j * z[:, n_steps + 1:])
-    xi[:, n_steps + 1:] = np.conj(xi[:, 1:n_steps])[:, ::-1]
-    paths = np.fft.ifft(np.sqrt(eigs) * xi, axis=-1)[:, :n_steps].real
-    return paths
+    re, im = xi.real, xi.imag
+    np.multiply(z[:, 0], math.sqrt(m), out=re[:, 0])
+    np.multiply(z[:, 1], math.sqrt(m), out=re[:, n_steps])
+    im[:, 0] = im[:, n_steps] = 0.0
+    np.multiply(z[:, 2:n_steps + 1], math.sqrt(m / 2.0), out=re[:, 1:n_steps])
+    np.multiply(z[:, n_steps + 1:], math.sqrt(m / 2.0), out=im[:, 1:n_steps])
+    re[:, n_steps + 1:] = re[:, n_steps - 1:0:-1]
+    np.negative(im[:, n_steps - 1:0:-1], out=im[:, n_steps + 1:])
+    re *= root
+    im *= root
+    return np.fft.ifft(xi, axis=-1)[:, :n_steps].real
 
 
 def _stream(master_seed: int, mode: int, trajectory: int) -> np.random.Generator:
     seq = np.random.SeedSequence(master_seed, spawn_key=(mode, trajectory))
     return np.random.Generator(np.random.Philox(seq))
+
+
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe): a pool of four uint32
+# words, its hash and mix multipliers, and the 16-bit xorshift
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _philox_keys(master_seed: int, modes: Sequence[int],
+                 trajectories: Sequence[int]) -> np.ndarray:
+    """Philox keys of the (mode, trajectory) streams, shape (modes, trajectories, 2).
+
+    Entry [i, j] is the key ``_stream(master_seed, modes[i],
+    trajectories[j])`` is seeded with,
+    ``SeedSequence(master_seed, spawn_key=(mode, trajectory))
+    .generate_state(2, np.uint64)``, computed for all pairs at once: the
+    entropy words, pool mixing and output hash of ``SeedSequence`` run as
+    uint32 array arithmetic, which wraps as the C code does (Python-int
+    constants keep the arrays uint32).  An index of 2**32 or more is
+    two entropy words, so its pairs are keyed by ``SeedSequence`` itself.
+    """
+    shape = (len(modes), len(trajectories))
+    seed_words = [master_seed >> shift & _MASK32
+                  for shift in range(0, max(master_seed.bit_length(), 1), 32)]
+    # with a spawn key, short run entropy is zero-padded to the pool size
+    words = [np.full(shape, w, dtype=np.uint32)
+             for w in seed_words + [0] * (_POOL_SIZE - len(seed_words))]
+    words.append(np.broadcast_to(np.array(
+        [k & _MASK32 for k in modes], dtype=np.uint32)[:, None], shape))
+    words.append(np.broadcast_to(np.array(
+        [t & _MASK32 for t in trajectories], dtype=np.uint32), shape))
+
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return value ^ (value >> 16)
+
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ const
+        const = const * _MULT_B & _MASK32
+        word = word * const
+        state.append((word ^ (word >> 16)).astype(np.uint64))
+    keys = np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
+    wide = (np.array([k > _MASK32 for k in modes], dtype=bool)[:, None]
+            | np.array([t > _MASK32 for t in trajectories], dtype=bool))
+    for i, j in zip(*np.nonzero(wide)):
+        keys[i, j] = np.random.SeedSequence(
+            master_seed, spawn_key=(modes[i], trajectories[j])).generate_state(2, np.uint64)
+    return keys
+
+
+class _Rekeyed:
+    """The streams ``Generator(Philox(key=k))`` for each ``k`` in ``keys``,
+    in order, as one Generator re-keyed in place: each is valid until the
+    next is taken, which suits one pass over the rows in :func:`_normals`."""
+
+    def __init__(self, gen: np.random.Generator, keys: list) -> None:
+        self._gen, self._keys = gen, keys
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __iter__(self):
+        bits = self._gen.bit_generator
+        for key in self._keys:
+            # the state Philox starts in: counter 0, buffer empty
+            bits.state = {"bit_generator": "Philox",
+                          "state": {"counter": [0, 0, 0, 0], "key": key},
+                          "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                          "has_uint32": 0, "uinteger": 0}
+            yield self._gen
+
+
+def _index(name: str, value) -> int:
+    """``value`` as a non-negative Python int; a ValueError names it otherwise."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = -1
+    if index < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return index
 
 
 def mode_increments(h: float, tau: float, n_steps: int, master_seed: int,
@@ -163,12 +283,18 @@ def mode_increments(h: float, tau: float, n_steps: int, master_seed: int,
     spectral weights sqrt(Lambda_k) are applied by the solver, so the same
     ensemble can be reused across different m.
 
-    One sampler call per mode draws all trajectories of that mode, each
-    from its own (mode, trajectory) stream.
+    Entry [i, :, k-1] is drawn from the stream ``_stream(master_seed, k,
+    trajectories[i])``, bit for bit; the seed and the trajectory indices
+    must be non-negative integers.  All the streams' Philox keys are
+    computed in one vectorised pass (:func:`_philox_keys`), and one
+    Philox generator, re-keyed per row, draws them.  One sampler call per
+    mode draws all trajectories of that mode.
     """
-    trajectories = list(trajectories)
+    master_seed = _index("master_seed", master_seed)
+    trajectories = [_index("trajectory index", traj) for traj in trajectories]
+    keys = _philox_keys(master_seed, range(1, n_modes + 1), trajectories).tolist()
+    gen = np.random.Generator(np.random.Philox(0))
     out = np.empty((len(trajectories), n_steps, n_modes))
     for k in range(1, n_modes + 1):
-        streams = [_stream(master_seed, k, traj) for traj in trajectories]
-        out[:, :, k - 1] = sample_fbm_circulant(h, tau, n_steps, streams)
+        out[:, :, k - 1] = sample_fbm_circulant(h, tau, n_steps, _Rekeyed(gen, keys[k - 1]))
     return out

@@ -232,6 +232,22 @@ def test_largest_seed_round_trips_through_trajectory_header(tmp_path):
     assert meta["seed"] == 2 ** 64 - 1
 
 
+@pytest.mark.parametrize("command, first_work", [
+    ("study", "run_convergence_study"), ("trajectory", "fbm.mode_increments")])
+def test_out_under_a_regular_file_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        command, first_work):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{first_work} ran before --out was created")
+
+    monkeypatch.setattr(f"fracspde.cli.{first_work}", no_work)
+    cfg_path = _write_tiny_config(tmp_path)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out = blocker / "out"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert str(out) in capsys.readouterr().err
+
+
 def test_nonexistent_config_path(tmp_path, capsys):
     rc = cli.main(["study", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o")])

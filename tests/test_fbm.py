@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from fracspde import fbm
@@ -213,3 +215,63 @@ def test_generator_list_still_checks_negative_eigenvalues(monkeypatch):
     rngs = [np.random.default_rng(i) for i in range(3)]
     with pytest.raises(ValueError, match="nonnegative definite"):
         fbm.sample_fbm_circulant(0.5, 1.0, 8, rngs)
+
+
+_SEEDS = st.integers(0, 2 ** 64 - 1) | st.integers(2 ** 128, 2 ** 140)
+_NARROW = st.integers(0, 2 ** 32 - 1)
+_INDICES = _NARROW | st.integers(2 ** 32, 2 ** 70)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_SEEDS, modes=st.lists(_INDICES, min_size=1, max_size=4),
+       trajectories=st.lists(_INDICES, min_size=1, max_size=4))
+def test_philox_keys_equal_seed_sequence(seed, modes, trajectories):
+    # uint32 overflow done with numpy scalars would warn; array ops must not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        keys = fbm._philox_keys(seed, modes, trajectories)
+    assert keys.shape == (len(modes), len(trajectories), 2)
+    assert keys.dtype == np.uint64
+    for i, k in enumerate(modes):
+        for j, traj in enumerate(trajectories):
+            want = np.random.SeedSequence(seed, spawn_key=(k, traj)).generate_state(
+                2, np.uint64)
+            np.testing.assert_array_equal(keys[i, j], want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=_SEEDS, n_steps=st.sampled_from([1, 2, 3]), n_modes=st.integers(1, 3),
+       trajectories=st.lists(_INDICES, min_size=1, max_size=3))
+def test_mode_increments_draw_the_stream_oracle(seed, n_steps, n_modes, trajectories):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = fbm.mode_increments(0.3, 0.5, n_steps, seed, n_modes, trajectories)
+    for k in range(1, n_modes + 1):
+        for i, traj in enumerate(trajectories):
+            want = fbm.sample_fbm_circulant(0.3, 0.5, n_steps, fbm._stream(seed, k, traj))
+            np.testing.assert_array_equal(batched[i, :, k - 1], want[0])
+
+
+@pytest.mark.parametrize("seed, trajectories, message", [
+    (-1, [0], "master_seed must be a non-negative integer, got -1"),
+    (1.5, [0], "master_seed must be a non-negative integer, got 1.5"),
+    ("7", [0], "master_seed must be a non-negative integer, got '7'"),
+    (np.int64(-3), [0], "master_seed must be a non-negative integer, got np.int64\\(-3\\)"),
+    (0, [2, -1], "trajectory index must be a non-negative integer, got -1"),
+    (0, [0, 1.5], "trajectory index must be a non-negative integer, got 1.5"),
+    (0, np.array([3, -2]), "trajectory index must be a non-negative integer, got np.int64\\(-2\\)"),
+])
+def test_mode_increments_names_a_bad_seed_or_index(monkeypatch, seed, trajectories, message):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the inputs were checked")
+
+    monkeypatch.setattr(fbm, "_philox_keys", no_sampling)
+    monkeypatch.setattr(fbm, "sample_fbm_circulant", no_sampling)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fbm.mode_increments(0.6, 0.1, 8, seed, 2, trajectories)
+
+
+def test_mode_increments_accepts_numpy_integer_indices():
+    plain = fbm.mode_increments(0.6, 0.1, 8, 42, 2, [1, 3])
+    typed = fbm.mode_increments(0.6, 0.1, 8, np.uint64(42), 2, np.array([1, 3]))
+    np.testing.assert_array_equal(typed, plain)

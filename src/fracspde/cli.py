@@ -175,7 +175,8 @@ def _selftest_fbm_keys() -> str:
                                  f"key {got.tolist()} != SeedSequence {want.tolist()}")
     # and a re-keyed generator starts where a fresh Philox stream does
     drawn = fbm.mode_increments(0.8, 1.0, 4, 7, 3, [12])[0, :, 2]
-    if not np.array_equal(drawn, fbm.sample_fbm_circulant(0.8, 1.0, 4, fbm._stream(7, 3, 12))[0]):
+    fresh = fbm.sample_fbm_circulant(0.8, 1.0, 4, fbm._stream(7, 3, 12))[0]
+    if not np.array_equal(drawn, fresh):
         raise AssertionError("re-keyed draws differ from the (7, 3, 12) stream's")
     return f"{len(cases)} keys equal SeedSequence's (numpy {np.__version__}), draws equal"
 

@@ -183,14 +183,12 @@ def _philox_keys(master_seed: int, modes: Sequence[int],
                  trajectories: Sequence[int]) -> np.ndarray:
     """Philox keys of the (mode, trajectory) streams, shape (modes, trajectories, 2).
 
-    Entry [i, j] is the key ``_stream(master_seed, modes[i],
-    trajectories[j])`` is seeded with,
-    ``SeedSequence(master_seed, spawn_key=(mode, trajectory))
-    .generate_state(2, np.uint64)``, computed for all pairs at once: the
-    entropy words, pool mixing and output hash of ``SeedSequence`` run as
-    uint32 array arithmetic, which wraps as the C code does (Python-int
-    constants keep the arrays uint32).  An index of 2**32 or more is
-    two entropy words, so its pairs are keyed by ``SeedSequence`` itself.
+    Entry [i, j] is ``SeedSequence(master_seed, spawn_key=(modes[i],
+    trajectories[j])).generate_state(2, np.uint64)``, the key of that
+    :func:`_stream`.  The pool mixing and output hash of ``SeedSequence``
+    run once over all pairs as uint32 array arithmetic, which wraps as its
+    C code does.  An index of 2**32 or more is two entropy words, so its
+    pairs are keyed by ``SeedSequence`` itself.
     """
     shape = (len(modes), len(trajectories))
     seed_words = [master_seed >> shift & _MASK32
@@ -292,9 +290,10 @@ def mode_increments(h: float, tau: float, n_steps: int, master_seed: int,
     """
     master_seed = _index("master_seed", master_seed)
     trajectories = [_index("trajectory index", traj) for traj in trajectories]
-    keys = _philox_keys(master_seed, range(1, n_modes + 1), trajectories).tolist()
+    keys = _philox_keys(master_seed, range(1, n_modes + 1), trajectories)
     gen = np.random.Generator(np.random.Philox(0))
     out = np.empty((len(trajectories), n_steps, n_modes))
     for k in range(1, n_modes + 1):
-        out[:, :, k - 1] = sample_fbm_circulant(h, tau, n_steps, _Rekeyed(gen, keys[k - 1]))
+        streams = _Rekeyed(gen, keys[k - 1].tolist())
+        out[:, :, k - 1] = sample_fbm_circulant(h, tau, n_steps, streams)
     return out

@@ -259,7 +259,8 @@ def test_mode_increments_draw_the_stream_oracle(seed, n_steps, n_modes, trajecto
     (np.int64(-3), [0], "master_seed must be a non-negative integer, got np.int64\\(-3\\)"),
     (0, [2, -1], "trajectory index must be a non-negative integer, got -1"),
     (0, [0, 1.5], "trajectory index must be a non-negative integer, got 1.5"),
-    (0, np.array([3, -2]), "trajectory index must be a non-negative integer, got np.int64\\(-2\\)"),
+    (0, np.array([3, -2]),
+     "trajectory index must be a non-negative integer, got np.int64\\(-2\\)"),
 ])
 def test_mode_increments_names_a_bad_seed_or_index(monkeypatch, seed, trajectories, message):
     def no_sampling(*args, **kwargs):

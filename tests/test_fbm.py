@@ -218,8 +218,8 @@ def test_generator_list_still_checks_negative_eigenvalues(monkeypatch):
 
 
 _SEEDS = st.integers(0, 2 ** 64 - 1) | st.integers(2 ** 128, 2 ** 140)
-_NARROW = st.integers(0, 2 ** 32 - 1)
-_INDICES = _NARROW | st.integers(2 ** 32, 2 ** 70)
+#: indices of 2**32 and more are two SeedSequence entropy words
+_INDICES = st.integers(0, 2 ** 32 - 1) | st.integers(2 ** 32, 2 ** 70)
 
 
 @settings(max_examples=60, deadline=None)

@@ -210,7 +210,20 @@ def _selftest_cq_history() -> str:
                               got[-1, cols]):
             raise AssertionError(f"columns {cols.start}..{cols.stop - 1} change "
                                  f"with the batch width")
-    return f"dense Toeplitz rel {rel:.2e}, width independent"
+    # the batch's blocked sums (GEMM panels, then a gemv per step) on the
+    # installed BLAS; 300 steps cross the 16-step blocks and 256-state panels
+    n_steps = 300
+    weights = cq.cq_weights(0.4, 0.01, n_steps)
+    states = np.random.default_rng(4322).standard_normal((n_steps + 1, 3, 5))
+    lags = np.subtract.outer(np.arange(n_steps), np.arange(n_steps))
+    toeplitz = np.where(lags >= 1, weights[lags], 0.0)   # row n-1: sum_j d_{n-j} u^j
+    expect = toeplitz @ states[1:].reshape(n_steps, -1)
+    got = np.array(list(solver._blocked_history_sums(states, weights)))
+    blocked = float(np.max(np.abs(got.reshape(n_steps, -1) - expect))
+                    / np.max(np.abs(expect)))
+    if blocked > 1e-13:
+        raise AssertionError(f"blocked batch sum vs dense Toeplitz, rel {blocked:.2e}")
+    return f"dense Toeplitz rel {rel:.2e}, width independent, blocked rel {blocked:.2e}"
 
 
 def _selftest_mlf() -> str:

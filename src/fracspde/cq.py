@@ -8,8 +8,9 @@ with step tau uses the coefficients of ((1-z)/tau)^a:
 
 ``cq_weights`` computes them by the stable two-term recurrence;
 ``apply_cq_history`` is ``solver.step``'s history sum for one path (a
-batch takes a faster, width-dependent gemv there).  The two
-``weights_by_*`` functions are independent oracles (power-series
+batch of paths takes faster, width-dependent BLAS products in
+``solver``: blocked GEMMs and gemvs in a run, one gemv in ``step``).
+The two ``weights_by_*`` functions are independent oracles (power-series
 composition in high precision, and FFT coefficient extraction on a
 circle) kept for the self-test and the test suite.
 """

@@ -11,9 +11,10 @@ H in (0,1):
   O(L log L); the production sampler.  The embedding of fractional
   Gaussian noise is nonnegative definite for every H, so a materially
   negative eigenvalue signals an implementation bug and raises.  Each
-  call computes the circulant eigenvalues once and transforms all of its
-  rows with one inverse FFT; the rows come from one Generator or from a
-  sequence of Generators, one per row.
+  call transforms all of its rows with one inverse FFT; the rows come
+  from one Generator or from a sequence of Generators, one per row.  The
+  square roots of the circulant eigenvalues are computed once per call,
+  or taken from the caller, who may share them between calls.
 
 Ensembles for the noise expansion W^H_Q = sum_k sqrt(Lambda_k) phi_k W^H_k
 are generated by :func:`mode_increments`: one counter-based RNG stream per
@@ -22,7 +23,8 @@ are generated by :func:`mode_increments`: one counter-based RNG stream per
 ensembles reproducible, independent of chunking/parallel schedule, and
 subset-stable (mode k, trajectory i always sees the same path regardless
 of how many other modes or trajectories are generated).  Each mode is one
-sampler call over the trajectories' streams; every stream still consumes
+sampler call over the trajectories' streams, and all modes share the
+eigenvalue roots that the call computes once; every stream still consumes
 its normals in the fixed per-row layout, so the batching does not change
 a single draw.
 
@@ -111,9 +113,27 @@ def _normals(rng: np.random.Generator | Sequence[np.random.Generator],
     return z
 
 
+def _circulant_root(h: float, tau: float, n_steps: int) -> np.ndarray:
+    """Square roots of the eigenvalues of the circulant of size 2L that
+    embeds gamma(0..L); for L = 1, the one-element [sqrt(gamma(0))]."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    g = increment_covariance(h, tau, np.arange(n_steps + 1))
+    if n_steps == 1:
+        return np.sqrt(g[:1])
+    first_row = np.concatenate([g[:n_steps], g[n_steps:n_steps + 1], g[n_steps - 1:0:-1]])
+    eigs = np.fft.fft(first_row).real
+    if eigs.min() < -1e-10 * eigs.max():
+        raise ValueError(
+            f"circulant embedding for H={h}, L={n_steps} has eigenvalue "
+            f"{eigs.min():.3e}; the fGn embedding must be nonnegative definite")
+    return np.sqrt(np.clip(eigs, 0.0, None))
+
+
 def sample_fbm_circulant(h: float, tau: float, n_steps: int,
                          rng: np.random.Generator | Sequence[np.random.Generator],
-                         n_paths: int = 1) -> np.ndarray:
+                         n_paths: int = 1, *,
+                         root: np.ndarray | None = None) -> np.ndarray:
     """Davies–Harte fGn sampler; returns (rows, L).
 
     ``rng`` is either one Generator, which supplies all ``n_paths`` rows,
@@ -125,27 +145,24 @@ def sample_fbm_circulant(h: float, tau: float, n_steps: int,
     The covariance sequence gamma(0..L) is embedded in a circulant of size
     2L whose eigenvalues (the real FFT of the first row) are provably
     nonnegative for fractional Gaussian noise; tiny negative rounding
-    residue is clamped, anything materially negative raises.  The
-    eigenvalues are computed once per call and one inverse FFT transforms
-    all rows.
+    residue is clamped, anything materially negative raises.  The square
+    roots of the eigenvalues are computed once per call, or once by the
+    caller for many calls with the same (h, tau, L) and passed as
+    ``root`` (:func:`mode_increments` does this), and one inverse FFT
+    transforms all rows.
 
     Draw layout (fixed; part of the reproducibility contract): for each
     row, 2L standard normals are consumed as
     [xi_0, xi_L, Re xi_1..Re xi_{L-1}, Im xi_1..Im xi_{L-1}].
     For L = 1 each row consumes a single normal.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    g = increment_covariance(h, tau, np.arange(n_steps + 1))
+    if root is None:
+        root = _circulant_root(h, tau, n_steps)
+    elif n_steps < 1 or np.shape(root) != (2 * n_steps if n_steps > 1 else 1,):
+        raise ValueError(f"root for L={n_steps} must be the circulant's eigenvalue "
+                         f"roots, got shape {np.shape(root)}")
     if n_steps == 1:
-        return math.sqrt(g[0]) * _normals(rng, n_paths, 1)
-    first_row = np.concatenate([g[:n_steps], g[n_steps:n_steps + 1], g[n_steps - 1:0:-1]])
-    eigs = np.fft.fft(first_row).real
-    if eigs.min() < -1e-10 * eigs.max():
-        raise ValueError(
-            f"circulant embedding for H={h}, L={n_steps} has eigenvalue "
-            f"{eigs.min():.3e}; the fGn embedding must be nonnegative definite")
-    root = np.sqrt(np.clip(eigs, 0.0, None))
+        return root[0] * _normals(rng, n_paths, 1)
     m = 2 * n_steps
     z = _normals(rng, n_paths, m)
     # xi_j = sqrt(eigs_j) * (sqrt(m/2) * (Re + i Im)), conjugate symmetric;
@@ -286,14 +303,16 @@ def mode_increments(h: float, tau: float, n_steps: int, master_seed: int,
     must be non-negative integers.  All the streams' Philox keys are
     computed in one vectorised pass (:func:`_philox_keys`), and one
     Philox generator, re-keyed per row, draws them.  One sampler call per
-    mode draws all trajectories of that mode.
+    mode draws all trajectories of that mode; the circulant eigenvalue
+    roots are computed once per call and passed to each.
     """
     master_seed = _index("master_seed", master_seed)
     trajectories = [_index("trajectory index", traj) for traj in trajectories]
     keys = _philox_keys(master_seed, range(1, n_modes + 1), trajectories)
     gen = np.random.Generator(np.random.Philox(0))
+    root = _circulant_root(h, tau, n_steps)
     out = np.empty((len(trajectories), n_steps, n_modes))
     for k in range(1, n_modes + 1):
         streams = _Rekeyed(gen, keys[k - 1].tolist())
-        out[:, :, k - 1] = sample_fbm_circulant(h, tau, n_steps, streams)
+        out[:, :, k - 1] = sample_fbm_circulant(h, tau, n_steps, streams, root=root)
     return out

@@ -20,20 +20,32 @@ One core, ``_advance``, runs the time loop for both entry points:
 ``run_trajectory`` advances one path with states (L+1, N) and keeps the
 whole history; ``run_ensemble`` advances a batch in lockstep with states
 (L+1, n_traj, N), as the convergence studies do.  The update is written
-only in ``step``, which picks the CQ history kernel from the history's
-shape, because each of the two callers needs a different one:
+only in ``_solve``, which takes the CQ history sum; each caller sums the
+history with its own kernel:
 
-* 2-D (one path): ``cq.apply_cq_history``, an einsum that adds d_1 u^{n-1}
-  first and gives every mode the same arithmetic whatever the mode count.
-  That keeps the modes of a linear run bitwise decoupled and
-  ``trajectory.bin`` byte-stable.  The matmul on a reversed view that it
-  replaced gave the same bits but ran numpy's scalar loop: at L=2048,
-  N=128 one trajectory took 0.55 s with it and about 0.25 s with the
-  einsum (2 vCPU, numpy 2.4, OpenBLAS 0.3).
-* 3-D (a batch): one BLAS matrix-vector product (gemv) over all n_traj*N
-  columns.  At 128 history rows it is 1.3-2.9x faster than the einsum
-  over 200-3200 columns, the study widths, but a column's bits can change
-  with the number of columns, so the single path does not use it.
+* One path: ``step``, whose 2-D branch is ``cq.apply_cq_history``, an
+  einsum that adds d_1 u^{n-1} first and gives every mode the same
+  arithmetic whatever the mode count.  That keeps the modes of a linear
+  run bitwise decoupled and ``trajectory.bin`` byte-stable.  The matmul on
+  a reversed view that it replaced gave the same bits but ran numpy's
+  scalar loop: at L=2048, N=128 one trajectory took 0.55 s with it and
+  about 0.25 s with the einsum (2 vCPU, numpy 2.4, OpenBLAS 0.3).
+* A batch: ``_blocked_history_sums``.  At the start of each block of
+  ``_BLOCK`` = 16 steps, GEMMs of a Toeplitz block of weights with the
+  stored states give the block's sums over all earlier states; each step
+  then adds a gemv over the at most 15 states of its own block.  The
+  arithmetic is that of one gemv per step, but each past state is read
+  once per block instead of once per step: a level of L=2048 steps at
+  N=128, 25 paths and one BLAS thread took 3.3 s with the per-step gemv
+  and 1.1 s blocked (2 vCPU, numpy 2.4, OpenBLAS 0.3.31).  The GEMMs
+  reduce over panels of at most ``_PANEL`` = 256 states, added in a fixed
+  order, because OpenBLAS splits a longer reduction differently at
+  different thread counts.  A column's bits can change with the number
+  of columns, so the single path does not use it.
+
+``step`` stays the public one-step form of the direct kernels: a 2-D
+history takes the einsum, a 3-D history one gemv over all n_traj*N
+columns.
 """
 from __future__ import annotations
 
@@ -56,6 +68,12 @@ __all__ = [
 ]
 
 _NONLINEARITIES = {"zero": None, "sin": np.sin}
+
+#: steps of a batch whose sums over earlier states one round of GEMMs gives
+_BLOCK = 16
+#: past states per GEMM: OpenBLAS 0.3.31 splits a longer reduction
+#: differently at different thread counts, which changes its bits
+_PANEL = 256
 
 
 @dataclass(frozen=True)
@@ -133,6 +151,13 @@ class SolverError(RuntimeError):
         return type(self), (self.mode, self.time_level, self.trajectory, self.context)
 
 
+def _solve(prev: np.ndarray, hist_sum, lam_s: np.ndarray, tau: float, denom,
+           forcing_coeffs, noise_coeffs) -> np.ndarray:
+    """u^n from u^{n-1} = ``prev``, the CQ history sum and denom = 1/tau + d_0 lam_s."""
+    rhs = prev / tau - lam_s * hist_sum + forcing_coeffs + noise_coeffs
+    return rhs / denom
+
+
 def step(history: np.ndarray, weights: np.ndarray, lam_s: np.ndarray, tau: float,
          forcing_coeffs, noise_coeffs) -> np.ndarray:
     """One implicit step: history rows are u^0..u^{n-1}, each of shape (N,)
@@ -144,24 +169,58 @@ def step(history: np.ndarray, weights: np.ndarray, lam_s: np.ndarray, tau: float
         hist_sum = (weights[n - 1:0:-1].copy() @ flat).reshape(history.shape[1:])
     else:
         hist_sum = cq.apply_cq_history(weights[1:], history[1:])
-    rhs = history[-1] / tau - lam_s * hist_sum + forcing_coeffs + noise_coeffs
-    return rhs / (1.0 / tau + weights[0] * lam_s)
+    return _solve(history[-1], hist_sum, lam_s, tau, 1.0 / tau + weights[0] * lam_s,
+                  forcing_coeffs, noise_coeffs)
+
+
+def _blocked_history_sums(states: np.ndarray, weights: np.ndarray):
+    """Yield a batch's history sums sum_{j=1}^{n-1} d_{n-j} u^j for n = 1..L.
+
+    ``states`` is (L+1, n_traj, N) and is read as the caller fills it: the
+    n-th sum needs u^1..u^{n-1} only.  At the start of each block of
+    ``_BLOCK`` steps, GEMMs of a Toeplitz block of weights with the states
+    give the block's sums over all earlier states, one panel of at most
+    ``_PANEL`` states at a time, added in panel order.  Each step then adds
+    a gemv over the states of its own block.
+    """
+    n_steps = states.shape[0] - 1
+    flat = states.reshape(n_steps + 1, -1)
+    w_rev = weights[:0:-1].copy()                     # d_{L-1} .. d_1
+    far = np.zeros((_BLOCK, flat.shape[1]))           # the first block has none
+    for n0 in range(1, n_steps + 1, _BLOCK):
+        rows = min(_BLOCK, n_steps + 1 - n0)
+        for p0 in range(1, n0, _PANEL):
+            p1 = min(p0 + _PANEL, n0)
+            toeplitz = weights[np.arange(n0, n0 + rows)[:, None] - np.arange(p0, p1)]
+            if p0 == 1:
+                np.matmul(toeplitz, flat[p0:p1], out=far[:rows])
+            else:
+                far[:rows] += toeplitz @ flat[p0:p1]
+        for r in range(rows):
+            near = w_rev[n_steps - 1 - r:] @ flat[n0:n0 + r]     # d_r .. d_1
+            yield (far[r] + near).reshape(states.shape[1:])
 
 
 def _advance(params: ModelParams, disc: Discretization,
              increments: np.ndarray) -> np.ndarray:
     """States (L+1, *batch, N) from increments (*batch, L, N), batch () or (n_traj,)."""
-    n_modes, tau = disc.n_modes, disc.tau
+    n_modes, tau, n_steps = disc.n_modes, disc.tau, disc.n_steps
     lam_s = spectral.eigenvalues(n_modes) ** params.s
-    weights = cq.cq_weights(1.0 - params.alpha, tau, disc.n_steps)
+    weights = cq.cq_weights(1.0 - params.alpha, tau, n_steps)
+    denom = 1.0 / tau + weights[0] * lam_s
     amp = np.arange(1, n_modes + 1, dtype=float) ** (0.5 * params.m)
     noise = np.ascontiguousarray(np.moveaxis(amp * increments / tau, -2, 0))
     f = params.f
-    states = np.zeros((disc.n_steps + 1,) + noise.shape[1:])
-    for n in range(1, disc.n_steps + 1):
+    states = np.zeros((n_steps + 1,) + noise.shape[1:])
+    batch_sums = _blocked_history_sums(states, weights) if states.ndim == 3 else None
+    for n in range(1, n_steps + 1):
         fterm = 0.0 if f is None else spectral.project(
             f(spectral.synthesize(states[n - 1], 2 * n_modes)), n_modes)
-        states[n] = step(states[:n], weights, lam_s, tau, fterm, noise[n - 1])
+        if batch_sums is None:
+            states[n] = step(states[:n], weights, lam_s, tau, fterm, noise[n - 1])
+        else:
+            states[n] = _solve(states[n - 1], next(batch_sums), lam_s, tau, denom,
+                               fterm, noise[n - 1])
         if not np.all(np.isfinite(states[n])):
             *traj, mode = np.unravel_index(np.argmax(~np.isfinite(states[n])),
                                            states[n].shape)
@@ -189,9 +248,10 @@ def run_ensemble(params: ModelParams, disc: Discretization,
     """Advance a batch of trajectories; returns final coefficients (n_traj, N).
 
     ``increments`` is (n_traj, L, N).  Each path follows ``run_trajectory``'s
-    scheme, but the history sum is one gemv over the batch: a path equals
-    its ``run_trajectory`` run to rounding, and its bits can change with
-    the batch width.
+    scheme, but the batch sums its history in blocks of GEMMs and gemvs
+    (``_blocked_history_sums``): a path equals its ``run_trajectory`` run
+    to rounding, its bits can change with the batch width, and they do
+    not change with the BLAS thread count.
     """
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 3 or increments.shape[1:] != (disc.n_steps, disc.n_modes):

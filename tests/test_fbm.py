@@ -276,3 +276,37 @@ def test_mode_increments_accepts_numpy_integer_indices():
     plain = fbm.mode_increments(0.6, 0.1, 8, 42, 2, [1, 3])
     typed = fbm.mode_increments(0.6, 0.1, 8, np.uint64(42), 2, np.array([1, 3]))
     np.testing.assert_array_equal(typed, plain)
+
+
+def test_mode_increments_computes_the_circulant_once_per_call(monkeypatch):
+    # once per call, not cached across calls: a cache would outlive a
+    # monkeypatched covariance
+    calls = []
+    real = fbm.increment_covariance
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fbm, "increment_covariance", counted)
+    first = fbm.mode_increments(0.3, 0.01, 33, 5, 6, range(3))
+    assert len(calls) == 1
+    again = fbm.mode_increments(0.3, 0.01, 33, 5, 6, range(3))
+    assert len(calls) == 2
+    np.testing.assert_array_equal(first, again)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 33])
+def test_sampler_given_the_circulant_root_draws_the_same(n_steps):
+    root = fbm._circulant_root(0.3, 0.01, n_steps)
+    own = fbm.sample_fbm_circulant(0.3, 0.01, n_steps, np.random.default_rng(4), 3)
+    given = fbm.sample_fbm_circulant(0.3, 0.01, n_steps, np.random.default_rng(4), 3,
+                                     root=root)
+    np.testing.assert_array_equal(own, given)
+
+
+@pytest.mark.parametrize("n_steps", [1, 9])
+def test_sampler_rejects_a_root_of_another_length(n_steps):
+    root = fbm._circulant_root(0.3, 0.01, 8)
+    with pytest.raises(ValueError, match=f"root for L={n_steps} "):
+        fbm.sample_fbm_circulant(0.3, 0.01, n_steps, np.random.default_rng(0), root=root)

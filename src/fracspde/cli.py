@@ -288,6 +288,17 @@ _HANDLERS = {"study": _cmd_study, "trajectory": _cmd_trajectory,
              "selftest": _cmd_selftest}
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type of ``--threads``: an int >= 1, refused at parse time."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracspde",
@@ -301,8 +312,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="max worker processes (default: machine parallelism)")
+        p.add_argument("--threads", type=_positive_int, default=None,
+                       help="max worker processes of a study (default: the usable "
+                            "CPUs); a trajectory runs in this process")
     sub.add_parser("selftest", help="run built-in consistency checks")
     return parser
 

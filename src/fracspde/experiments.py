@@ -132,9 +132,11 @@ class ExperimentConfig(ModelParams):
     def _check_memory(self) -> None:
         """Reject a study whose arrays cannot fit in physical memory.
 
-        The largest arrays of one chunk are its increments, noise forcing
-        and states, each about 8 B x (L+1) x chunk x N at the finest step
-        count L and the widest mode count N.  The study also keeps every
+        A chunk holds its increments and the states of the level it is
+        stepping, each about 8 B x (L+1) x chunk x N at the finest step
+        count L and the widest mode count N, plus a coarser level's summed
+        increments on the time axis; three such arrays bound all of it
+        from above.  The study also keeps every
         trajectory's squared error at every level, 8 B x levels x n_traj,
         and one cached (N, 2N) sine matrix, 16 B x N^2, per mode count.
         """
@@ -314,12 +316,21 @@ def _map_chunks(config: ExperimentConfig, chunks, max_workers: int) -> list:
     return [_chunk_squared_errors(config, chunk) for chunk in chunks]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_convergence_study(config: ExperimentConfig,
                           threads: int | None = None) -> StudyResult:
     """Estimate strong errors and observed rates over the refinement ladder.
 
     Trajectories are processed in fixed-size chunks.  ``threads`` caps the
-    number of worker processes (default: the CPU count); with more than
+    number of worker processes (default: the CPUs this process may run
+    on, its affinity mask where the platform has one); with more than
     one, the chunks run in forked processes with BLAS pinned to one
     thread.  Every chunk fills its own slice of the accumulator with the
     same arithmetic wherever it runs, so the result is identical for any
@@ -336,7 +347,7 @@ def run_convergence_study(config: ExperimentConfig,
               for lo in range(0, n_traj, _CHUNK)]
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    max_workers = min(len(chunks), threads or (os.cpu_count() or 1))
+    max_workers = min(len(chunks), threads or _usable_cpus())
     sq_errors = np.empty((len(config.levels), n_traj))
     for chunk, block in zip(chunks, _map_chunks(config, chunks, max_workers)):
         sq_errors[:, chunk.start:chunk.stop] = block

@@ -292,8 +292,8 @@ def mode_increments(h: float, tau: float, n_steps: int, master_seed: int,
                     n_modes: int, trajectories) -> np.ndarray:
     """fGn increments for modes 1..n_modes and the given trajectory indices.
 
-    Returns an array of shape (len(trajectories), n_steps, n_modes);
-    entry [i, n, k-1] is dW^H_k over the n-th step for trajectory
+    Returns a transposed view of shape (len(trajectories), n_steps,
+    n_modes); entry [i, n, k-1] is dW^H_k over the n-th step for trajectory
     ``trajectories[i]``.  Increments are *unit-amplitude*: the noise
     spectral weights sqrt(Lambda_k) are applied by the solver, so the same
     ensemble can be reused across different m.
@@ -305,14 +305,20 @@ def mode_increments(h: float, tau: float, n_steps: int, master_seed: int,
     Philox generator, re-keyed per row, draws them.  One sampler call per
     mode draws all trajectories of that mode; the circulant eigenvalue
     roots are computed once per call and passed to each.
+
+    The storage is time-major, (n_steps, len(trajectories), n_modes), and
+    each mode's block is written into it transposed, once; the result is
+    the transposed view of it.  So ``np.moveaxis(result, 1, 0)`` is a
+    C-contiguous (L, n_traj, N) array without a copy, one time level per
+    row, which is the order the stepper reads.
     """
     master_seed = _index("master_seed", master_seed)
     trajectories = [_index("trajectory index", traj) for traj in trajectories]
     keys = _philox_keys(master_seed, range(1, n_modes + 1), trajectories)
     gen = np.random.Generator(np.random.Philox(0))
     root = _circulant_root(h, tau, n_steps)
-    out = np.empty((len(trajectories), n_steps, n_modes))
+    out = np.empty((n_steps, len(trajectories), n_modes))
     for k in range(1, n_modes + 1):
         streams = _Rekeyed(gen, keys[k - 1].tolist())
-        out[:, :, k - 1] = sample_fbm_circulant(h, tau, n_steps, streams, root=root)
-    return out
+        out[:, :, k - 1] = sample_fbm_circulant(h, tau, n_steps, streams, root=root).T
+    return out.transpose(1, 0, 2)

@@ -209,18 +209,19 @@ def _advance(params: ModelParams, disc: Discretization,
     weights = cq.cq_weights(1.0 - params.alpha, tau, n_steps)
     denom = 1.0 / tau + weights[0] * lam_s
     amp = np.arange(1, n_modes + 1, dtype=float) ** (0.5 * params.m)
-    noise = np.ascontiguousarray(np.moveaxis(amp * increments / tau, -2, 0))
+    inc = np.moveaxis(increments, -2, 0)      # time-major view, not a copy
     f = params.f
-    states = np.zeros((n_steps + 1,) + noise.shape[1:])
+    states = np.zeros((n_steps + 1,) + inc.shape[1:])
     batch_sums = _blocked_history_sums(states, weights) if states.ndim == 3 else None
     for n in range(1, n_steps + 1):
         fterm = 0.0 if f is None else spectral.project(
             f(spectral.synthesize(states[n - 1], 2 * n_modes)), n_modes)
+        noise = amp * inc[n - 1] / tau
         if batch_sums is None:
-            states[n] = step(states[:n], weights, lam_s, tau, fterm, noise[n - 1])
+            states[n] = step(states[:n], weights, lam_s, tau, fterm, noise)
         else:
             states[n] = _solve(states[n - 1], next(batch_sums), lam_s, tau, denom,
-                               fterm, noise[n - 1])
+                               fterm, noise)
         if not np.all(np.isfinite(states[n])):
             *traj, mode = np.unravel_index(np.argmax(~np.isfinite(states[n])),
                                            states[n].shape)
@@ -251,13 +252,17 @@ def run_ensemble(params: ModelParams, disc: Discretization,
     scheme, but the batch sums its history in blocks of GEMMs and gemvs
     (``_blocked_history_sums``): a path equals its ``run_trajectory`` run
     to rounding, its bits can change with the batch width, and they do
-    not change with the BLAS thread count.
+    not change with the BLAS thread count.  The result is a copy that owns
+    its memory, not a view of the (L+1, n_traj, N) states, so the states
+    are freed when this returns.  Each step forms its noise forcing from
+    its own row of increments; the time-major view that
+    ``fbm.mode_increments`` returns gives contiguous rows.
     """
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 3 or increments.shape[1:] != (disc.n_steps, disc.n_modes):
         raise ValueError(f"increments shaped {increments.shape}, "
                          f"expected (n_traj, {disc.n_steps}, {disc.n_modes})")
-    return _advance(params, disc, increments)[-1]
+    return _advance(params, disc, increments)[-1].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,26 @@ def test_out_under_a_regular_file_fails_before_any_work(tmp_path, capsys, monkey
     assert str(out) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["study", "trajectory"])
+@pytest.mark.parametrize("raw", ["0", "-2", "1.5", "many"])
+def test_threads_not_a_positive_int_exits_2_before_out_is_created(tmp_path, capsys, command, raw):
+    cfg_path = _write_tiny_config(tmp_path)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(cfg_path), "--out", str(out), "--threads", raw])
+    assert exc.value.code == 2
+    assert f"argument --threads: must be a positive integer, got '{raw}'" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["study", "trajectory"])
+def test_threads_one_is_accepted_by_both_commands(tmp_path, command):
+    cfg_path = _write_tiny_config(tmp_path)
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--threads", "1"]) == 0
+
+
 def test_nonexistent_config_path(tmp_path, capsys):
     rc = cli.main(["study", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o")])

@@ -329,6 +329,38 @@ def test_threads_validation():
         run_convergence_study(_config(), threads=0)
 
 
+def _worker_counts(monkeypatch):
+    """Record the worker count each study asks ``_map_chunks`` for."""
+    counts = []
+
+    def record(config, chunks, max_workers):
+        counts.append(max_workers)
+        return [np.ones((len(config.levels), len(chunk))) for chunk in chunks]
+
+    monkeypatch.setattr(experiments, "_map_chunks", record)
+    return counts
+
+
+def test_default_workers_are_the_usable_cpus(monkeypatch):
+    counts = _worker_counts(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    run_convergence_study(_config(n_traj=200))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    run_convergence_study(_config(n_traj=200))
+    assert counts == [1, 3]
+
+
+def test_default_workers_fall_back_to_the_cpu_count(monkeypatch):
+    counts = _worker_counts(monkeypatch)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    run_convergence_study(_config(n_traj=200))
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_convergence_study(_config(n_traj=200))
+    assert counts == [5, 1]
+
+
 def test_cli_import_loads_no_process_pool():
     src = str(Path(experiments.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -23,14 +23,20 @@ order (in the mode count N) is 2 sigma.
 
 Trajectories are processed in fixed chunks of 25.  With more than one
 worker the chunks run in forked worker processes, each with numpy's
-OpenBLAS pinned to one thread: threads would share the interpreter lock
-that the per-step Python loop and the small numpy calls hold, and each
-worker's own BLAS threads would oversubscribe the cores.  A chunk's
-arithmetic does not depend on where it runs, so the result is identical
-for any worker count.
+OpenBLAS on one thread: threads would share the interpreter lock that the
+per-step Python loop and the small numpy calls hold, and each worker's own
+BLAS threads would oversubscribe the cores.  The caller sets that one
+thread before it forks and the workers inherit it: set in a worker after
+the fork, OpenBLAS would restart its thread pool there, and the idle
+helper thread would spin beside the worker.  Chunks that run in the
+calling process use at most one BLAS thread per usable CPU.  Either way
+the caller's thread count is put back afterwards.  A chunk's arithmetic
+does not depend on where it runs, so the result is identical for any
+worker count.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import operator
 import os
@@ -275,12 +281,35 @@ def _openblas_function(name: str):
     return None
 
 
-def _pin_blas_to_one_thread() -> None:
-    """Run numpy's OpenBLAS on one thread in this process; no-op without it."""
+def _openblas_thread_functions():
+    """numpy's OpenBLAS ``(get_num_threads, set_num_threads)``, or None."""
+    get_threads = _openblas_function("get_num_threads")
     set_threads = _openblas_function("set_num_threads")
-    if set_threads is not None:
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(1)
+    if get_threads is None or set_threads is None:
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
+@contextlib.contextmanager
+def _blas_threads_at_most(limit: int):
+    """Run the body with numpy's OpenBLAS on at most ``limit`` threads.
+
+    The caller's count is put back afterwards, also after an error.  When
+    it is already within the limit, or numpy does not use OpenBLAS, the
+    thread count is not set at all.
+    """
+    functions = _openblas_thread_functions()
+    before = functions[0]() if functions is not None else 0
+    if before <= limit:
+        yield
+        return
+    functions[1](limit)
+    try:
+        yield
+    finally:
+        functions[1](before)
 
 
 #: the study config of a worker process, set once by ``_start_worker``
@@ -290,7 +319,11 @@ _worker_config = None
 def _start_worker(config: ExperimentConfig) -> None:
     global _worker_config
     _worker_config = config
-    _pin_blas_to_one_thread()
+    # the worker inherits the one BLAS thread the caller set before the
+    # fork; setting it again would restart OpenBLAS's thread pool here
+    functions = _openblas_thread_functions()
+    if functions is not None and functions[0]() != 1:
+        functions[1](1)
 
 
 def _worker_chunk(chunk: range) -> np.ndarray:
@@ -302,18 +335,21 @@ def _map_chunks(config: ExperimentConfig, chunks, max_workers: int) -> list:
 
     More than one worker runs the chunks in forked processes.  Fork hands
     each worker the config without pickling it, so a closure nonlinearity
-    works, and it needs no fresh import.  One worker, or a platform
-    without fork, runs them here in order with the caller's BLAS threads.
+    works, and it needs no fresh import; the workers inherit the one BLAS
+    thread set here before the fork.  One worker, or a platform without
+    fork, runs them here in order, with at most one BLAS thread per usable
+    CPU.  The caller's BLAS thread count is restored on return.
     """
     if max_workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures.process import ProcessPoolExecutor
-            with ProcessPoolExecutor(
+            with _blas_threads_at_most(1), ProcessPoolExecutor(
                     max_workers, mp_context=multiprocessing.get_context("fork"),
                     initializer=_start_worker, initargs=(config,)) as pool:
                 return list(pool.map(_worker_chunk, chunks))
-    return [_chunk_squared_errors(config, chunk) for chunk in chunks]
+    with _blas_threads_at_most(_usable_cpus()):
+        return [_chunk_squared_errors(config, chunk) for chunk in chunks]
 
 
 def _usable_cpus() -> int:
@@ -331,10 +367,13 @@ def run_convergence_study(config: ExperimentConfig,
     Trajectories are processed in fixed-size chunks.  ``threads`` caps the
     number of worker processes (default: the CPUs this process may run
     on, its affinity mask where the platform has one); with more than
-    one, the chunks run in forked processes with BLAS pinned to one
-    thread.  Every chunk fills its own slice of the accumulator with the
-    same arithmetic wherever it runs, so the result is identical for any
-    worker count and any BLAS thread count of the caller.  More than one
+    one, the chunks run in forked processes, which inherit numpy's
+    OpenBLAS set to one thread before the fork, and otherwise in this
+    process with at most one BLAS thread per usable CPU.  The caller's
+    BLAS thread count is put back on return, also after an error.  Every
+    chunk fills its own slice of the accumulator with the same arithmetic
+    wherever it runs, so the result is identical for any worker count and
+    any BLAS thread count of the caller.  More than one
     worker forks the calling process; a caller that runs other threads
     (a GUI, a server, a thread pool) should pass ``threads=1``, since a
     forked child can deadlock on a lock one of those threads held.  The

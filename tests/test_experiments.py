@@ -374,17 +374,12 @@ def test_cli_import_loads_no_process_pool():
 
 
 def _blas_thread_count():
-    get_threads = experiments._openblas_function("get_num_threads")
-    if get_threads is None:
-        return None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    return get_threads()
+    functions = experiments._openblas_thread_functions()
+    return None if functions is None else functions[0]()
 
 
 def _set_blas_threads(n):
-    set_threads = experiments._openblas_function("set_num_threads")
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    set_threads(n)
+    experiments._openblas_thread_functions()[1](n)
 
 
 @pytest.mark.parametrize("exported, found", [
@@ -405,14 +400,16 @@ def test_openblas_lookup_is_none_when_numpy_core_cannot_load(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy._core", None)
     monkeypatch.setitem(sys.modules, "numpy.core", None)
     assert experiments._openblas_function("set_num_threads") is None
-    experiments._pin_blas_to_one_thread()
+    with experiments._blas_threads_at_most(1):
+        pass
 
 
 def test_blas_pin_is_a_no_op_without_the_symbol(monkeypatch):
     assert experiments._openblas_function("no_such_openblas_symbol") is None
     before = _blas_thread_count()
     monkeypatch.setattr(experiments, "_openblas_function", lambda name: None)
-    experiments._pin_blas_to_one_thread()
+    with experiments._blas_threads_at_most(1):
+        pass
     monkeypatch.undo()
     assert _blas_thread_count() == before
 
@@ -437,9 +434,10 @@ def test_workers_run_blas_on_one_thread(tmp_path):
 
 
 def test_in_process_study_does_not_depend_on_caller_blas_threads():
-    # threads=1 runs with the caller's BLAS threads, the workers with one;
-    # at N=64, 25 rows and L=64 the history gemv and the sine-matrix
-    # products are large enough for OpenBLAS to split them over threads
+    # threads=1 runs with the caller's BLAS threads capped at the usable
+    # CPUs, the workers with one; at N=64, 25 rows and L=64 the history
+    # gemv and the sine-matrix products are large enough for OpenBLAS to
+    # split them over threads
     before = _blas_thread_count()
     if before is None:
         pytest.skip("numpy's BLAS does not export openblas_get_num_threads")
@@ -453,6 +451,88 @@ def test_in_process_study_does_not_depend_on_caller_blas_threads():
             assert run_convergence_study(cfg, threads=1) == workers, blas_threads
     finally:
         _set_blas_threads(before)
+
+
+def _require_blas_threads():
+    functions = experiments._openblas_thread_functions()
+    if functions is None:
+        pytest.skip("numpy's BLAS does not export openblas_get/set_num_threads")
+    return functions
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs Linux's /proc/self/task")
+def test_workers_run_their_chunks_on_one_os_thread(tmp_path):
+    # a BLAS thread count set in the worker after the fork would restart
+    # OpenBLAS's thread pool there, leaving an idle helper thread
+    def record_os_threads(u):
+        mark = tmp_path / str(os.getpid())
+        if not mark.exists():
+            mark.write_text(str(len(os.listdir("/proc/self/task"))))
+        return np.sin(u)
+
+    run_convergence_study(_config(n_traj=50, nonlinearity=record_os_threads),
+                          threads=2)
+    seen = {int(p.name): p.read_text() for p in tmp_path.iterdir()}
+    assert len(seen) == 2 and os.getpid() not in seen
+    assert set(seen.values()) == {"1"}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_solver_error_leaves_the_caller_blas_threads(monkeypatch, threads):
+    get_threads, set_threads = _require_blas_threads()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def blow_up(u):
+        out = np.sin(u)
+        out[0] = np.inf
+        return out
+
+    before = get_threads()
+    try:
+        set_threads(3)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(SolverError):
+                run_convergence_study(_config(n_traj=30, nonlinearity=blow_up),
+                                      threads=threads)
+        assert get_threads() == 3
+    finally:
+        set_threads(before)
+
+
+def test_in_process_chunks_run_on_at_most_the_usable_cpus(monkeypatch):
+    get_threads, set_threads = _require_blas_threads()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    seen = []
+
+    def record_blas_threads(u):
+        seen.append(get_threads())
+        return np.sin(u)
+
+    before = get_threads()
+    try:
+        set_threads(4)
+        run_convergence_study(_config(nonlinearity=record_blas_threads),
+                              threads=1)
+        assert get_threads() == 4
+    finally:
+        set_threads(before)
+    assert seen and set(seen) == {1}
+
+
+def test_blas_threads_within_the_usable_cpus_are_not_set(monkeypatch):
+    get_threads, set_threads = _require_blas_threads()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    calls = []
+    before = get_threads()
+    try:
+        set_threads(2)
+        monkeypatch.setattr(experiments, "_openblas_thread_functions",
+                            lambda: (get_threads, calls.append))
+        run_convergence_study(_config(n_traj=50), threads=1)
+    finally:
+        set_threads(before)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

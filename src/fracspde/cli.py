@@ -313,8 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
         p.add_argument("--threads", type=_positive_int, default=None,
-                       help="max worker processes of a study (default: the usable "
-                            "CPUs); a trajectory runs in this process")
+                       help="max processes that run a study's chunks, this one "
+                            "included (default: the usable CPUs); a trajectory "
+                            "runs in this process")
     sub.add_parser("selftest", help="run built-in consistency checks")
     return parser
 

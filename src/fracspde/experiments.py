@@ -22,17 +22,19 @@ Then the expected temporal order is H - rho * alpha / s and the spatial
 order (in the mode count N) is 2 sigma.
 
 Trajectories are processed in fixed chunks of 25.  With more than one
-worker the chunks run in forked worker processes, each with numpy's
-OpenBLAS on one thread: threads would share the interpreter lock that the
-per-step Python loop and the small numpy calls hold, and each worker's own
-BLAS threads would oversubscribe the cores.  The caller sets that one
-thread before it forks and the workers inherit it: set in a worker after
-the fork, OpenBLAS would restart its thread pool there, and the idle
-helper thread would spin beside the worker.  Chunks that run in the
-calling process use at most one BLAS thread per usable CPU.  Either way
-the caller's thread count is put back afterwards.  A chunk's arithmetic
-does not depend on where it runs, so the result is identical for any
-worker count.
+worker the chunks are dealt round-robin into one share per worker: the
+calling process runs the first share, and a forked child runs each of the
+others and sends its blocks back over a pipe.  Every one of these
+processes runs numpy's OpenBLAS on one thread: threads would share the
+interpreter lock that the per-step Python loop and the small numpy calls
+hold, and each process's own BLAS threads would oversubscribe the cores.
+The caller sets that one thread before it forks and the children inherit
+it: set in a child after the fork, OpenBLAS would restart its thread pool
+there, and the idle helper thread would spin beside the child.  With one
+worker the chunks run in the calling process with at most one BLAS thread
+per usable CPU.  Either way the caller's thread count is put back
+afterwards.  A chunk's arithmetic does not depend on where it runs, so
+the result is identical for any worker count.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ import contextlib
 import ctypes
 import operator
 import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -312,44 +315,121 @@ def _blas_threads_at_most(limit: int):
         functions[1](before)
 
 
-#: the study config of a worker process, set once by ``_start_worker``
-_worker_config = None
-
-
-def _start_worker(config: ExperimentConfig) -> None:
-    global _worker_config
-    _worker_config = config
-    # the worker inherits the one BLAS thread the caller set before the
-    # fork; setting it again would restart OpenBLAS's thread pool here
-    functions = _openblas_thread_functions()
-    if functions is not None and functions[0]() != 1:
-        functions[1](1)
-
-
-def _worker_chunk(chunk: range) -> np.ndarray:
-    return _chunk_squared_errors(_worker_config, chunk)
-
-
 def _map_chunks(config: ExperimentConfig, chunks, max_workers: int) -> list:
     """Squared-error blocks of ``chunks``, in chunk order.
 
-    More than one worker runs the chunks in forked processes.  Fork hands
-    each worker the config without pickling it, so a closure nonlinearity
-    works, and it needs no fresh import; the workers inherit the one BLAS
-    thread set here before the fork.  One worker, or a platform without
-    fork, runs them here in order, with at most one BLAS thread per usable
-    CPU.  The caller's BLAS thread count is restored on return.
+    More than one worker splits the chunks into ``max_workers`` shares,
+    ``chunks[w::max_workers]``: this process runs share 0, and a child
+    forked for each other share sends its blocks back over a pipe
+    (:func:`_fork_shares`).  Fork hands each child the config without
+    pickling it, so a closure nonlinearity works, and it needs no fresh
+    import; the children inherit the one BLAS thread set here before the
+    fork, and share 0 runs on it too.  One worker, or a platform without
+    fork, runs the chunks here in order, with at most one BLAS thread per
+    usable CPU.  The caller's BLAS thread count is restored on return.
     """
-    if max_workers > 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures.process import ProcessPoolExecutor
-            with _blas_threads_at_most(1), ProcessPoolExecutor(
-                    max_workers, mp_context=multiprocessing.get_context("fork"),
-                    initializer=_start_worker, initargs=(config,)) as pool:
-                return list(pool.map(_worker_chunk, chunks))
+    if max_workers > 1 and hasattr(os, "fork"):
+        with _blas_threads_at_most(1):
+            return _fork_shares(config, chunks, max_workers)
     with _blas_threads_at_most(_usable_cpus()):
         return [_chunk_squared_errors(config, chunk) for chunk in chunks]
+
+
+def _run_share(config: ExperimentConfig, chunks, share: int, workers: int) -> tuple:
+    """``(blocks, failure)`` of the chunks ``share``, ``share + workers``, ...
+
+    The share stops at its first failing chunk: ``blocks`` holds the
+    blocks before it and ``failure`` is ``(chunk index, exception)``, or
+    None when every chunk ran.
+    """
+    blocks = []
+    for index in range(share, len(chunks), workers):
+        try:
+            blocks.append(_chunk_squared_errors(config, chunks[index]))
+        except Exception as exc:            # raised by the caller, in chunk order
+            return blocks, (index, exc)
+    return blocks, None
+
+
+def _child_share(config: ExperimentConfig, chunks, share: int, workers: int,
+                 write_fd: int):
+    """Run one share in a forked child and send its pickled outcome down
+    the pipe ``write_fd``.  Never returns: every path ends in ``os._exit``,
+    with status 0 only once the whole outcome is sent."""
+    status = 1
+    try:
+        # the child inherits the one BLAS thread the caller set before the
+        # fork; setting it again would restart OpenBLAS's thread pool here
+        functions = _openblas_thread_functions()
+        if functions is not None and functions[0]() != 1:
+            functions[1](1)
+        blocks, failure = _run_share(config, chunks, share, workers)
+        if failure is not None:
+            index, exc = failure
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:               # the caller could not rebuild it
+                failure = index, RuntimeError(
+                    f"chunk {index} failed in a worker process: {exc!r}")
+        with open(write_fd, "wb") as pipe:
+            pickle.dump((blocks, failure), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, read_fd: int) -> tuple:
+    """What the child ``pid`` sent down its pipe, read to EOF, and its
+    wait status once it has exited."""
+    try:
+        with open(read_fd, "rb") as pipe:
+            reply = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return reply, status
+
+
+def _fork_shares(config: ExperimentConfig, chunks, workers: int) -> list:
+    """Blocks of ``chunks``: share 0 run here, the others in forked children.
+
+    Every child is read to EOF and waited for, also when this process
+    fails, so none is left behind.  A child that exits without sending its
+    outcome raises a RuntimeError that names its wait status.  Otherwise
+    the failure with the lowest chunk index is raised, the one a run of
+    the chunks in order raises first.
+    """
+    children = []                           # (pid, read end of its pipe)
+    try:
+        for share in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child_share(config, chunks, share, workers, write_fd)
+            except BaseException:
+                os.close(read_fd)
+                raise
+            finally:
+                os.close(write_fd)
+            children.append((pid, read_fd))
+        outcomes = [_run_share(config, chunks, 0, workers)]
+    finally:
+        replies = [_reap(pid, read_fd) for pid, read_fd in children]
+    for (pid, _), (reply, status) in zip(children, replies):
+        if status != 0:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+            raise RuntimeError(f"worker process {pid} exited without sending its "
+                               f"chunks: wait status {status} ({how})")
+        outcomes.append(pickle.loads(reply))
+    blocks, failures = [None] * len(chunks), []
+    for share, (done, failure) in enumerate(outcomes):
+        blocks[share:share + workers * len(done):workers] = done
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=operator.itemgetter(0))[1]
+    return blocks
 
 
 def _usable_cpus() -> int:
@@ -365,15 +445,18 @@ def run_convergence_study(config: ExperimentConfig,
     """Estimate strong errors and observed rates over the refinement ladder.
 
     Trajectories are processed in fixed-size chunks.  ``threads`` caps the
-    number of worker processes (default: the CPUs this process may run
-    on, its affinity mask where the platform has one); with more than
-    one, the chunks run in forked processes, which inherit numpy's
-    OpenBLAS set to one thread before the fork, and otherwise in this
-    process with at most one BLAS thread per usable CPU.  The caller's
-    BLAS thread count is put back on return, also after an error.  Every
-    chunk fills its own slice of the accumulator with the same arithmetic
-    wherever it runs, so the result is identical for any worker count and
-    any BLAS thread count of the caller.  More than one
+    number of processes that run chunks, this one included (default: the
+    CPUs this process may run on, its affinity mask where the platform
+    has one).  With more than one, this process runs one share of the
+    chunks and forks a child for each other share; all of them run
+    numpy's OpenBLAS on one thread, which the children inherit from the
+    fork.  With one, the chunks run here with at most one BLAS thread per
+    usable CPU.  The caller's BLAS thread count is put back on return,
+    also after an error, and every child has exited by then.  A failing
+    chunk's error is raised as a run of the chunks in order would raise
+    it.  Every chunk fills its own slice of the accumulator with the same
+    arithmetic wherever it runs, so the result is identical for any
+    worker count and any BLAS thread count of the caller.  More than one
     worker forks the calling process; a caller that runs other threads
     (a GUI, a server, a thread pool) should pass ``threads=1``, since a
     forked child can deadlock on a lock one of those threads held.  The

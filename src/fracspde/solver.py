@@ -285,7 +285,6 @@ def dump_trajectory(path, states: np.ndarray, params: ModelParams,
     m, t_final, tau as f8; n_modes, n_steps, seed, nonlinearity code as
     u8), then the states as float64, time level major.
     """
-    states = np.asarray(states, dtype=float)
     nl_code = _NL_CODES.get(params.nonlinearity, 2)   # 2 = custom callable
     header = np.array([(params.alpha, params.s, params.hurst, params.m,
                         params.t_final, disc.tau, disc.n_modes, disc.n_steps,
@@ -294,7 +293,9 @@ def dump_trajectory(path, states: np.ndarray, params: ModelParams,
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(header.tobytes())
-        fh.write(np.ascontiguousarray(states).astype("<f8").tobytes())
+        # the states' own buffer when they are C-ordered little-endian
+        # float64, as a run's are: no copy of the whole history
+        fh.write(memoryview(np.ascontiguousarray(states, dtype="<f8")))
 
 
 def load_trajectory(path):

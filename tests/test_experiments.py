@@ -2,8 +2,10 @@ import ctypes
 import io
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -428,7 +430,8 @@ def test_workers_run_blas_on_one_thread(tmp_path):
     run_convergence_study(_config(n_traj=50, nonlinearity=record_blas_threads),
                           threads=2)
     seen = {int(p.name): p.read_text() for p in tmp_path.iterdir()}
-    assert seen and os.getpid() not in seen
+    # the caller runs the first share, a forked child the second
+    assert len(seen) == 2 and os.getpid() in seen
     assert set(seen.values()) == {"1"}
     assert _blas_thread_count() == before
 
@@ -463,8 +466,9 @@ def _require_blas_threads():
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                     reason="needs Linux's /proc/self/task")
 def test_workers_run_their_chunks_on_one_os_thread(tmp_path):
-    # a BLAS thread count set in the worker after the fork would restart
-    # OpenBLAS's thread pool there, leaving an idle helper thread
+    # a BLAS thread count set in the child after the fork would restart
+    # OpenBLAS's thread pool there, leaving an idle helper thread; the
+    # caller's pool is shut down at the fork and not restarted on one thread
     def record_os_threads(u):
         mark = tmp_path / str(os.getpid())
         if not mark.exists():
@@ -474,7 +478,7 @@ def test_workers_run_their_chunks_on_one_os_thread(tmp_path):
     run_convergence_study(_config(n_traj=50, nonlinearity=record_os_threads),
                           threads=2)
     seen = {int(p.name): p.read_text() for p in tmp_path.iterdir()}
-    assert len(seen) == 2 and os.getpid() not in seen
+    assert len(seen) == 2 and os.getpid() in seen
     assert set(seen.values()) == {"1"}
 
 
@@ -533,6 +537,129 @@ def test_blas_threads_within_the_usable_cpus_are_not_set(monkeypatch):
     finally:
         set_threads(before)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the fork path: share 0 in the caller, the other shares in forked children
+
+
+@pytest.fixture
+def caller_on_three_blas_threads():
+    """The caller on 3 BLAS threads, checked to be on 3 again afterwards
+    (when numpy's OpenBLAS exports its thread functions)."""
+    functions = experiments._openblas_thread_functions()
+    if functions is None:
+        yield
+        return
+    get_threads, set_threads = functions
+    before = get_threads()
+    set_threads(3)
+    try:
+        yield
+        assert get_threads() == 3
+    finally:
+        set_threads(before)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fail_chunks(monkeypatch, fail):
+    """Replace the chunk computation by one that calls ``fail(index)`` for
+    each chunk of 25 trajectories and returns ones otherwise."""
+    def fake(config, chunk):
+        fail(chunk.start // 25)
+        return np.ones((len(config.levels), len(chunk)))
+
+    monkeypatch.setattr(experiments, "_chunk_squared_errors", fake)
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_child_solver_error_names_absolute_trajectory_and_level(
+        caller_on_three_blas_threads, threads):
+    # n_traj=80 gives chunks of 25, 25, 25 and 5 trajectories; the last,
+    # trajectories 75..79, runs in a child at 2 and at 4 workers, after
+    # chunk 1 at 2; its row 3 is trajectory 78
+    def blow_up_last_batch(u):
+        out = np.sin(u)
+        if u.shape[0] == 5:
+            out[3] = np.inf
+        return out
+
+    cfg = _config(levels=(4, 8), n_traj=80, nonlinearity=blow_up_last_batch)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(SolverError, match=(
+                "^level 4: non-finite coefficient in trajectory 78, "
+                "mode 1 at time level 1$")):
+            run_convergence_study(cfg, threads=threads)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("failing", [{0, 1}, {1}, {1, 2}, {2, 3}, {3}])
+def test_lowest_failing_chunk_is_raised_as_in_one_process(
+        monkeypatch, caller_on_three_blas_threads, threads, failing):
+    # 4 chunks: at 2 workers the caller runs 0 and 2, a child 1 and 3; at
+    # 3 workers the caller runs 0 and 3, children 1 and 2
+    def fail(index):
+        if index in failing:
+            raise ValueError(f"chunk {index} failed")
+
+    _fail_chunks(monkeypatch, fail)
+    with pytest.raises(ValueError) as in_order:
+        run_convergence_study(_config(n_traj=100), threads=1)
+    with pytest.raises(ValueError) as forked:
+        run_convergence_study(_config(n_traj=100), threads=threads)
+    assert str(forked.value) == str(in_order.value) == f"chunk {min(failing)} failed"
+    _assert_no_child_left()
+
+
+def test_killed_child_raises_runtime_error_naming_its_status(
+        monkeypatch, caller_on_three_blas_threads):
+    caller = os.getpid()
+
+    def die_in_a_child(index):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _fail_chunks(monkeypatch, die_in_a_child)
+    with pytest.raises(RuntimeError, match=(
+            r"^worker process \d+ exited without sending its chunks: "
+            rf"wait status {int(signal.SIGKILL)} \(killed by signal "
+            rf"{int(signal.SIGKILL)}\)$")):
+        run_convergence_study(_config(n_traj=50), threads=2)
+    _assert_no_child_left()
+
+
+def test_unpicklable_child_exception_arrives_as_its_repr(
+        monkeypatch, caller_on_three_blas_threads):
+    class LocalError(Exception):                    # pickle cannot find it
+        pass
+
+    def fail(index):
+        if index == 1:
+            raise LocalError("no way back")
+
+    _fail_chunks(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match=(
+            r"^chunk 1 failed in a worker process: LocalError\('no way back'\)$")):
+        run_convergence_study(_config(n_traj=50), threads=2)
+    _assert_no_child_left()
+
+
+def test_caller_error_leaves_no_child_behind(monkeypatch, caller_on_three_blas_threads):
+    # the caller fails at once while the child is still computing
+    def fail(index):
+        if index == 0:
+            raise ValueError("caller failed")
+        time.sleep(0.2)
+
+    _fail_chunks(monkeypatch, fail)
+    with pytest.raises(ValueError, match="^caller failed$"):
+        run_convergence_study(_config(n_traj=50), threads=2)
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

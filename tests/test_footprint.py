@@ -1,14 +1,19 @@
-"""Memory footprint of a study chunk.
+"""Memory footprint of a study chunk and of its fGn sampling.
 
 The backward-Euler CQ couples every step to the whole history, so a chunk
 keeps all L+1 states of the level it steps.  Besides those it should hold
 only its increments: no full-size noise forcing array, no copy of the
 increments for the stepper's time-major order, and no states of a level it
-has finished.
+has finished.  The fGn sampler draws every mode into one set of buffers.
 """
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fracspde import fbm
 from fracspde.experiments import ExperimentConfig, _chunk_squared_errors
@@ -54,3 +59,50 @@ def test_chunk_peak_memory_stays_under_two_and_a_half_state_arrays():
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * full, (axis, peak / full)
+
+
+def _mode_increments_peak_beyond_output(n_modes):
+    tracemalloc.start()
+    try:
+        out = fbm.mode_increments(0.3, 1 / 256, 256, 5, n_modes, range(25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - out.nbytes
+
+
+def test_fgn_peak_memory_does_not_grow_with_the_mode_count():
+    # one mode's sampler buffers are about 5 x 8 B x 2L per path; only the
+    # stream keys, a few words per (mode, path), may grow with the modes
+    fbm.mode_increments(0.3, 1 / 256, 256, 5, 4, range(25))   # FFT set-up
+    few, many = (_mode_increments_peak_beyond_output(n) for n in (4, 64))
+    assert many - few < 64 * (64 - 4) * 25, (few, many)
+
+
+_FIRST_CALL_FAULTS = """
+import resource, sys
+from fracspde import fbm
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+out = fbm.mode_increments(0.3, 1 / 256, 256, 5, int(sys.argv[1]), range(25))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, out.nbytes)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts Linux minor page faults")
+def test_fgn_first_call_faults_in_no_pages_per_mode():
+    # a fresh process's first call: per-mode sampler arrays, allocated and
+    # freed mode after mode, fault their pages in again for every mode;
+    # reused buffers leave only the output's pages growing with the modes
+    src = str(Path(fbm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    counts = {}
+    for n_modes in (4, 64):
+        out = subprocess.run([sys.executable, "-c", _FIRST_CALL_FAULTS, str(n_modes)],
+                             env=env, capture_output=True, text=True, check=True,
+                             timeout=120)
+        faults, nbytes = map(int, out.stdout.split())
+        counts[n_modes] = faults, nbytes // 4096
+    output_pages = counts[64][1] - counts[4][1]
+    assert counts[64][0] - counts[4][0] < 1.5 * output_pages, counts

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,21 @@ def test_trajectory_dump_round_trip(tmp_path):
     (tmp_path / "junk.bin").write_bytes(b"XXXX" + bytes(80))
     with pytest.raises(ValueError, match="not a trajectory dump"):
         solver.load_trajectory(tmp_path / "junk.bin")
+
+
+def test_trajectory_dump_writes_the_states_without_copying_them(tmp_path):
+    params = _params()
+    disc = Discretization(n_modes=128, n_steps=2048, tau=0.01 / 2048)
+    states = np.random.default_rng(2).standard_normal((2049, 128))
+    tracemalloc.start()
+    try:
+        solver.dump_trajectory(tmp_path / "traj.bin", states, params, disc, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < states.nbytes / 2, peak / states.nbytes
+    np.testing.assert_array_equal(solver.load_trajectory(tmp_path / "traj.bin")[0],
+                                  states)
 
 
 def _small_dump(tmp_path):

@@ -23,12 +23,12 @@ are generated by :func:`mode_increments`: one counter-based RNG stream per
 ensembles reproducible, independent of chunking/parallel schedule, and
 subset-stable (mode k, trajectory i always sees the same path regardless
 of how many other modes or trajectories are generated).  Each mode is one
-pass of the sampler over the trajectories' streams.  All modes share the
-eigenvalue roots that the call computes once, and the normals and the
-complex spectrum buffers that it allocates once, so their pages are
-faulted in once per call, not once per mode.  Every stream still
-consumes its normals in the fixed per-row layout, so the batching does
-not change a single draw.
+sampler call over the trajectories' streams.  All modes share the
+eigenvalue roots that the call computes once, and the normals and complex
+spectrum buffers that it allocates once and lends to its sampler calls,
+so their pages are faulted in once per call, not once per mode.  Every
+stream still consumes its normals in the fixed per-row layout, so the
+batching does not change a single draw.
 
 A stream is the Philox generator that ``SeedSequence`` keys; everything
 else in its state starts at zero.  So :func:`mode_increments` computes
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from collections.abc import Sequence
 
 import numpy as np
@@ -114,6 +115,23 @@ def _normals(rng: np.random.Generator | Sequence[np.random.Generator],
         gen.standard_normal(out=row)
 
 
+#: the sampler buffers :func:`mode_increments` lends, per thread, to the
+#: :func:`sample_fbm_circulant` calls it makes; lent rather than passed, so
+#: the public sampler keeps its signature and each mode still calls it
+_lent = threading.local()
+
+
+def _sampler_buffers(rows: int, n_steps: int) -> tuple:
+    """The normals and the complex spectrum a sampler call fills for
+    ``rows`` rows of ``n_steps`` increments: the pair lent by
+    :func:`mode_increments` if it has that shape, else a new pair."""
+    width = 2 * n_steps if n_steps > 1 else 1
+    buffers = getattr(_lent, "buffers", None)
+    if buffers is None or buffers[0].shape != (rows, width):
+        buffers = np.empty((rows, width)), np.empty((rows, width), dtype=complex)
+    return buffers
+
+
 def _circulant_root(h: float, tau: float, n_steps: int) -> np.ndarray:
     """Square roots of the eigenvalues of the circulant of size 2L that
     embeds gamma(0..L); for L = 1, the one-element [sqrt(gamma(0))]."""
@@ -149,7 +167,10 @@ def sample_fbm_circulant(h: float, tau: float, n_steps: int,
     residue is clamped, anything materially negative raises.  The square
     roots of the eigenvalues are computed once per call, or once by the
     caller for many calls with the same (h, tau, L) and passed as
-    ``root``, and one inverse FFT transforms all rows.
+    ``root`` (:func:`mode_increments` does this), and one inverse FFT
+    transforms all rows.  The normals and the spectrum are assembled in
+    buffers that :func:`mode_increments` lends to its calls, or that the
+    call allocates; the returned rows are always a new array.
 
     Draw layout (fixed; part of the reproducibility contract): for each
     row, 2L standard normals are consumed as
@@ -162,29 +183,11 @@ def sample_fbm_circulant(h: float, tau: float, n_steps: int,
         raise ValueError(f"root for L={n_steps} must be the circulant's eigenvalue "
                          f"roots, got shape {np.shape(root)}")
     rows = n_paths if isinstance(rng, np.random.Generator) else len(rng)
-    return _davies_harte(root, rng, n_paths, *_sampler_buffers(rows, n_steps))
-
-
-def _sampler_buffers(rows: int, n_steps: int) -> tuple:
-    """The normals and the complex spectrum that :func:`_davies_harte`
-    fills for ``rows`` rows of ``n_steps`` increments; one pair serves any
-    number of calls of that shape."""
-    width = 2 * n_steps if n_steps > 1 else 1
-    return np.empty((rows, width)), np.empty((rows, width), dtype=complex)
-
-
-def _davies_harte(root: np.ndarray,
-                  rng: np.random.Generator | Sequence[np.random.Generator],
-                  n_paths: int, z: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Rows of fGn from the eigenvalue roots ``root``, with the draw layout
-    of :func:`sample_fbm_circulant`.  The normals are drawn into ``z`` and
-    the spectrum is assembled in ``xi`` (:func:`_sampler_buffers`), which
-    the next call may overwrite; the returned rows are a new array."""
+    z, xi = _sampler_buffers(rows, n_steps)
     _normals(rng, n_paths, z)
-    m = z.shape[1]
-    if m == 1:
+    if n_steps == 1:
         return root[0] * z
-    n_steps = m // 2
+    m = 2 * n_steps
     # xi_j = sqrt(eigs_j) * (sqrt(m/2) * (Re + i Im)), conjugate symmetric;
     # each part is written in place with the products of that complex
     # expression in its order, so every element keeps its bits
@@ -321,10 +324,10 @@ def mode_increments(h: float, tau: float, n_steps: int, master_seed: int,
     trajectories[i])``, bit for bit; the seed and the trajectory indices
     must be non-negative integers.  All the streams' Philox keys are
     computed in one vectorised pass (:func:`_philox_keys`), and one
-    Philox generator, re-keyed per row, draws them.  One sampler pass per
+    Philox generator, re-keyed per row, draws them.  One sampler call per
     mode draws all trajectories of that mode; the circulant eigenvalue
-    roots and the sampler's buffers (:func:`_sampler_buffers`) are made
-    once per call and used by every mode.
+    roots are computed once per call and passed to each, and the
+    sampler's buffers are allocated once per call and lent to each.
 
     The storage is time-major, (n_steps, len(trajectories), n_modes), and
     each mode's block is written into it transposed, once; the result is
@@ -337,9 +340,13 @@ def mode_increments(h: float, tau: float, n_steps: int, master_seed: int,
     keys = _philox_keys(master_seed, range(1, n_modes + 1), trajectories)
     gen = np.random.Generator(np.random.Philox(0))
     root = _circulant_root(h, tau, n_steps)
-    z, xi = _sampler_buffers(len(trajectories), n_steps)
     out = np.empty((n_steps, len(trajectories), n_modes))
-    for k in range(1, n_modes + 1):
-        streams = _Rekeyed(gen, keys[k - 1].tolist())
-        out[:, :, k - 1] = _davies_harte(root, streams, 1, z, xi).T
+    _lent.buffers = _sampler_buffers(len(trajectories), n_steps)
+    try:
+        for k in range(1, n_modes + 1):
+            streams = _Rekeyed(gen, keys[k - 1].tolist())
+            out[:, :, k - 1] = sample_fbm_circulant(h, tau, n_steps, streams,
+                                                    root=root).T
+    finally:
+        _lent.buffers = None
     return out.transpose(1, 0, 2)

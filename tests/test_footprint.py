@@ -4,7 +4,8 @@ The backward-Euler CQ couples every step to the whole history, so a chunk
 keeps all L+1 states of the level it steps.  Besides those it should hold
 only its increments: no full-size noise forcing array, no copy of the
 increments for the stepper's time-major order, and no states of a level it
-has finished.  The fGn sampler draws every mode into one set of buffers.
+has finished.  The fGn sampler draws every mode of a call into one set
+of buffers.
 """
 import os
 import subprocess
@@ -77,6 +78,8 @@ def test_fgn_peak_memory_does_not_grow_with_the_mode_count():
     fbm.mode_increments(0.3, 1 / 256, 256, 5, 4, range(25))   # FFT set-up
     few, many = (_mode_increments_peak_beyond_output(n) for n in (4, 64))
     assert many - few < 64 * (64 - 4) * 25, (few, many)
+    # the lent buffers are released when the call returns
+    assert fbm._lent.buffers is None
 
 
 _FIRST_CALL_FAULTS = """

@@ -7,9 +7,9 @@ with step tau uses the coefficients of ((1-z)/tau)^a:
     d_j = tau^(-a) * (-1)^j * binom(a, j).
 
 ``cq_weights`` computes them by the stable two-term recurrence;
-``apply_cq_history`` is ``solver.step``'s history sum for one path (a
-batch of paths takes faster, width-dependent BLAS products in
-``solver``: blocked GEMMs and gemvs in a run, one gemv in ``step``).
+``apply_cq_history`` is ``solver.step``'s history sum, for one path or a
+batch of them (a run of a batch takes faster, width-dependent blocked
+GEMMs and gemvs in ``solver``).
 The two ``weights_by_*`` functions are independent oracles (power-series
 composition in high precision, and FFT coefficient extraction on a
 circle) kept for the self-test and the test suite.

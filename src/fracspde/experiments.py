@@ -21,20 +21,20 @@ noise spectrum Lambda_k = k^m on the interval (dimension d = 1) let
 Then the expected temporal order is H - rho * alpha / s and the spatial
 order (in the mode count N) is 2 sigma.
 
-Trajectories are processed in fixed chunks of 25.  With more than one
-worker the chunks are dealt round-robin into one share per worker: the
-calling process runs the first share, and a forked child runs each of the
-others and sends its blocks back over a pipe.  Every one of these
-processes runs numpy's OpenBLAS on one thread: threads would share the
-interpreter lock that the per-step Python loop and the small numpy calls
-hold, and each process's own BLAS threads would oversubscribe the cores.
-The caller sets that one thread before it forks and the children inherit
-it: set in a child after the fork, OpenBLAS would restart its thread pool
-there, and the idle helper thread would spin beside the child.  With one
-worker the chunks run in the calling process with at most one BLAS thread
-per usable CPU.  Either way the caller's thread count is put back
-afterwards.  A chunk's arithmetic does not depend on where it runs, so
-the result is identical for any worker count.
+Trajectories are processed in fixed chunks of 25, dealt round-robin into
+one share per worker.  One runner serves every worker count: the calling
+process runs the first share, and a forked child runs each of the others
+and sends its blocks back over a pipe, so one worker forks no child.
+With children, every process runs numpy's OpenBLAS on one thread: threads
+would share the interpreter lock that the per-step Python loop and the
+small numpy calls hold, and each process's own BLAS threads would
+oversubscribe the cores.  The caller sets that one thread before it forks
+and the children inherit it: set in a child after the fork, OpenBLAS
+would restart its thread pool there, and the idle helper thread would
+spin beside the child.  Without children the chunks run with at most one
+BLAS thread per usable CPU.  Either way the caller's thread count is put
+back afterwards.  A chunk's arithmetic does not depend on where it runs,
+so the result is identical for any worker count.
 """
 from __future__ import annotations
 
@@ -315,26 +315,6 @@ def _blas_threads_at_most(limit: int):
         functions[1](before)
 
 
-def _map_chunks(config: ExperimentConfig, chunks, max_workers: int) -> list:
-    """Squared-error blocks of ``chunks``, in chunk order.
-
-    More than one worker splits the chunks into ``max_workers`` shares,
-    ``chunks[w::max_workers]``: this process runs share 0, and a child
-    forked for each other share sends its blocks back over a pipe
-    (:func:`_fork_shares`).  Fork hands each child the config without
-    pickling it, so a closure nonlinearity works, and it needs no fresh
-    import; the children inherit the one BLAS thread set here before the
-    fork, and share 0 runs on it too.  One worker, or a platform without
-    fork, runs the chunks here in order, with at most one BLAS thread per
-    usable CPU.  The caller's BLAS thread count is restored on return.
-    """
-    if max_workers > 1 and hasattr(os, "fork"):
-        with _blas_threads_at_most(1):
-            return _fork_shares(config, chunks, max_workers)
-    with _blas_threads_at_most(_usable_cpus()):
-        return [_chunk_squared_errors(config, chunk) for chunk in chunks]
-
-
 def _run_share(config: ExperimentConfig, chunks, share: int, workers: int) -> tuple:
     """``(blocks, failure)`` of the chunks ``share``, ``share + workers``, ...
 
@@ -358,11 +338,6 @@ def _child_share(config: ExperimentConfig, chunks, share: int, workers: int,
     with status 0 only once the whole outcome is sent."""
     status = 1
     try:
-        # the child inherits the one BLAS thread the caller set before the
-        # fork; setting it again would restart OpenBLAS's thread pool here
-        functions = _openblas_thread_functions()
-        if functions is not None and functions[0]() != 1:
-            functions[1](1)
         blocks, failure = _run_share(config, chunks, share, workers)
         if failure is not None:
             index, exc = failure
@@ -389,8 +364,19 @@ def _reap(pid: int, read_fd: int) -> tuple:
     return reply, status
 
 
-def _fork_shares(config: ExperimentConfig, chunks, workers: int) -> list:
-    """Blocks of ``chunks``: share 0 run here, the others in forked children.
+def _map_chunks(config: ExperimentConfig, chunks, workers: int) -> list:
+    """Squared-error blocks of ``chunks``, in chunk order.
+
+    The chunks are dealt into ``workers`` shares, ``chunks[w::workers]``:
+    this process runs share 0, and a child forked for each other share
+    sends its blocks back over a pipe (:func:`_child_share`).  So one
+    worker, or a platform without fork, forks no child and runs every
+    chunk here.  Fork hands each child the config without pickling it, so
+    a closure nonlinearity works, and it needs no fresh import.  With
+    children, the one BLAS thread set here before the fork is inherited by
+    each child and runs share 0 too; without, share 0 runs with at most
+    one BLAS thread per usable CPU.  The caller's BLAS thread count is
+    restored on return.
 
     Every child is read to EOF and waited for, also when this process
     fails, so none is left behind.  A child that exits without sending its
@@ -398,23 +384,26 @@ def _fork_shares(config: ExperimentConfig, chunks, workers: int) -> list:
     the failure with the lowest chunk index is raised, the one a run of
     the chunks in order raises first.
     """
+    if not hasattr(os, "fork"):
+        workers = 1
     children = []                           # (pid, read end of its pipe)
-    try:
-        for share in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _child_share(config, chunks, share, workers, write_fd)
-            except BaseException:
-                os.close(read_fd)
-                raise
-            finally:
-                os.close(write_fd)
-            children.append((pid, read_fd))
-        outcomes = [_run_share(config, chunks, 0, workers)]
-    finally:
-        replies = [_reap(pid, read_fd) for pid, read_fd in children]
+    with _blas_threads_at_most(1 if workers > 1 else _usable_cpus()):
+        try:
+            for share in range(1, workers):
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _child_share(config, chunks, share, workers, write_fd)
+                except BaseException:
+                    os.close(read_fd)
+                    raise
+                finally:
+                    os.close(write_fd)
+                children.append((pid, read_fd))
+            outcomes = [_run_share(config, chunks, 0, workers)]
+        finally:
+            replies = [_reap(pid, read_fd) for pid, read_fd in children]
     for (pid, _), (reply, status) in zip(children, replies):
         if status != 0:
             code = os.waitstatus_to_exitcode(status)
@@ -444,30 +433,31 @@ def run_convergence_study(config: ExperimentConfig,
                           threads: int | None = None) -> StudyResult:
     """Estimate strong errors and observed rates over the refinement ladder.
 
-    Trajectories are processed in fixed-size chunks.  ``threads`` caps the
-    number of processes that run chunks, this one included (default: the
-    CPUs this process may run on, its affinity mask where the platform
-    has one).  With more than one, this process runs one share of the
-    chunks and forks a child for each other share; all of them run
-    numpy's OpenBLAS on one thread, which the children inherit from the
-    fork.  With one, the chunks run here with at most one BLAS thread per
-    usable CPU.  The caller's BLAS thread count is put back on return,
-    also after an error, and every child has exited by then.  A failing
-    chunk's error is raised as a run of the chunks in order would raise
-    it.  Every chunk fills its own slice of the accumulator with the same
-    arithmetic wherever it runs, so the result is identical for any
-    worker count and any BLAS thread count of the caller.  More than one
-    worker forks the calling process; a caller that runs other threads
-    (a GUI, a server, a thread pool) should pass ``threads=1``, since a
-    forked child can deadlock on a lock one of those threads held.  The
-    observed rate log2(e_l / e_{l+1}) sits on the coarser level's row; the
-    finest row has none.  Rates are omitted (None) when an error vanishes
-    or is not finite.
+    Trajectories are processed in fixed-size chunks.  ``threads``, an
+    integer >= 1, caps the number of processes that run chunks, this one
+    included (default: the CPUs this process may run on, its affinity mask
+    where the platform has one).  This process runs one share of the
+    chunks and forks a child for each other share, so with one worker it
+    forks none.  With children, all of them run numpy's OpenBLAS on one
+    thread, which the children inherit from the fork; without, the chunks
+    run here with at most one BLAS thread per usable CPU.  The caller's
+    BLAS thread count is put back on return, also after an error, and
+    every child has exited by then.  A failing chunk's error is raised as
+    a run of the chunks in order would raise it.  Every chunk fills its
+    own slice of the accumulator with the same arithmetic wherever it
+    runs, so the result is identical for any worker count and any BLAS
+    thread count of the caller.  More than one worker forks the calling
+    process; a caller that runs other threads (a GUI, a server, a thread
+    pool) should pass ``threads=1``, since a forked child can deadlock on
+    a lock one of those threads held.  The observed rate
+    log2(e_l / e_{l+1}) sits on the coarser level's row; the finest row
+    has none.  Rates are omitted (None) when an error vanishes or is not
+    finite.
     """
     n_traj = config.n_traj
     chunks = [range(lo, min(lo + _CHUNK, n_traj))
               for lo in range(0, n_traj, _CHUNK)]
-    if threads is not None and threads < 1:
+    if threads is not None and _as_int("threads", threads) < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     max_workers = min(len(chunks), threads or _usable_cpus())
     sq_errors = np.empty((len(config.levels), n_traj))

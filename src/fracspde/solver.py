@@ -20,16 +20,16 @@ One core, ``_advance``, runs the time loop for both entry points:
 ``run_trajectory`` advances one path with states (L+1, N) and keeps the
 whole history; ``run_ensemble`` advances a batch in lockstep with states
 (L+1, n_traj, N), as the convergence studies do.  The update is written
-only in ``_solve``, which takes the CQ history sum; each caller sums the
-history with its own kernel:
+only in ``_solve``, which takes the CQ history sum from one of two
+kernels:
 
-* One path: ``step``, whose 2-D branch is ``cq.apply_cq_history``, an
-  einsum that adds d_1 u^{n-1} first and gives every mode the same
-  arithmetic whatever the mode count.  That keeps the modes of a linear
-  run bitwise decoupled and ``trajectory.bin`` byte-stable.  The matmul on
-  a reversed view that it replaced gave the same bits but ran numpy's
-  scalar loop: at L=2048, N=128 one trajectory took 0.55 s with it and
-  about 0.25 s with the einsum (2 vCPU, numpy 2.4, OpenBLAS 0.3).
+* One path: ``step``, which sums with ``cq.apply_cq_history``, an einsum
+  that adds d_1 u^{n-1} first and gives every mode the same arithmetic
+  whatever the mode count.  That keeps the modes of a linear run bitwise
+  decoupled and ``trajectory.bin`` byte-stable.  The matmul on a reversed
+  view that it replaced gave the same bits but ran numpy's scalar loop:
+  at L=2048, N=128 one trajectory took 0.55 s with it and about 0.25 s
+  with the einsum (2 vCPU, numpy 2.4, OpenBLAS 0.3).
 * A batch: ``_blocked_history_sums``.  At the start of each block of
   ``_BLOCK`` = 16 steps, GEMMs of a Toeplitz block of weights with the
   stored states give the block's sums over all earlier states; each step
@@ -43,9 +43,9 @@ history with its own kernel:
   different thread counts.  A column's bits can change with the number
   of columns, so the single path does not use it.
 
-``step`` stays the public one-step form of the direct kernels: a 2-D
-history takes the einsum, a 3-D history one gemv over all n_traj*N
-columns.
+``step`` is also the public one-step form: the einsum broadcasts over a
+history of (n_traj, N) states, and each row of the result is bit for bit
+the step of that row alone.
 """
 from __future__ import annotations
 
@@ -161,14 +161,8 @@ def _solve(prev: np.ndarray, hist_sum, lam_s: np.ndarray, tau: float, denom,
 def step(history: np.ndarray, weights: np.ndarray, lam_s: np.ndarray, tau: float,
          forcing_coeffs, noise_coeffs) -> np.ndarray:
     """One implicit step: history rows are u^0..u^{n-1}, each of shape (N,)
-    or (n_traj, N), which selects the history kernel; returns u^n."""
-    if history.ndim == 3:
-        n = history.shape[0]
-        flat = history[1:].reshape(n - 1, history[0].size)
-        # copied: numpy hands no negative-stride operand to BLAS
-        hist_sum = (weights[n - 1:0:-1].copy() @ flat).reshape(history.shape[1:])
-    else:
-        hist_sum = cq.apply_cq_history(weights[1:], history[1:])
+    or (n_traj, N); returns u^n, each row with the bits of its own step."""
+    hist_sum = cq.apply_cq_history(weights[1:], history[1:])
     return _solve(history[-1], hist_sum, lam_s, tau, 1.0 / tau + weights[0] * lam_s,
                   forcing_coeffs, noise_coeffs)
 

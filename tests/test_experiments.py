@@ -327,8 +327,11 @@ def test_solver_error_survives_pickling():
 
 
 def test_threads_validation():
-    with pytest.raises(ValueError, match="threads"):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
         run_convergence_study(_config(), threads=0)
+    for value in (2.5, "2", 1.0):
+        with pytest.raises(ValueError, match="threads must be an integer"):
+            run_convergence_study(_config(), threads=value)
 
 
 def _worker_counts(monkeypatch):
@@ -522,6 +525,40 @@ def test_in_process_chunks_run_on_at_most_the_usable_cpus(monkeypatch):
     finally:
         set_threads(before)
     assert seen and set(seen) == {1}
+
+
+def test_study_without_fork_runs_every_chunk_here(monkeypatch):
+    get_threads, set_threads = _require_blas_threads()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = []
+
+    def record_blas_threads(u):
+        seen.append((os.getpid(), get_threads()))
+        return np.sin(u)
+
+    cfg = _config(n_traj=50, nonlinearity=record_blas_threads)
+    in_order = run_convergence_study(cfg, threads=1)
+    monkeypatch.delattr(os, "fork")
+    before = get_threads()
+    try:
+        set_threads(3)
+        seen.clear()
+        assert run_convergence_study(cfg, threads=2) == in_order
+        assert get_threads() == 3
+    finally:
+        set_threads(before)
+    # both chunks ran here, on BLAS capped at the usable CPUs, not at one
+    assert seen and set(seen) == {(os.getpid(), 2)}
+
+
+def test_one_worker_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("one worker forked")
+
+    cfg = _config(n_traj=50)
+    expected = run_convergence_study(cfg, threads=2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_convergence_study(cfg, threads=1) == expected
 
 
 def test_blas_threads_within_the_usable_cpus_are_not_set(monkeypatch):

@@ -299,23 +299,7 @@ def test_batched_step_matches_path_by_path_steps(n):
     batch = solver.step(history, weights, lam_s, tau, fterm, noise)
     for j in range(5):
         single = solver.step(history[:, j], weights, lam_s, tau, fterm[j], noise[j])
-        np.testing.assert_allclose(batch[j], single, rtol=1e-13)
-
-
-@pytest.mark.parametrize("n", [2, 17, 48])
-def test_batched_step_keeps_the_ensemble_gemv_bits(n):
-    # the batched history sum is the one gemv over all n_traj*N columns
-    # that the ensemble stepper has always used, written out here
-    n_traj, n_modes, n_steps = 25, 16, 48
-    history, weights, lam_s, tau, fterm, noise = _random_step_inputs(
-        n, n_traj, n_modes, n_steps)
-    w_rev = weights[::-1].copy()
-    states2d = history.reshape(n, n_traj * n_modes)
-    hist_sum = (w_rev[n_steps - n:n_steps - 1] @ states2d[1:n]).reshape(n_traj, n_modes)
-    rhs = history[-1] / tau - lam_s * hist_sum + fterm + noise
-    expected = rhs / (1.0 / tau + weights[0] * lam_s)
-    got = solver.step(history, weights, lam_s, tau, fterm, noise)
-    assert got.tobytes() == expected.tobytes()
+        assert np.array_equal(batch[j], single)
 
 
 def test_ensemble_error_locates_trajectory_mode_and_level():

@@ -218,7 +218,7 @@ def _selftest_cq_history() -> str:
     lags = np.subtract.outer(np.arange(n_steps), np.arange(n_steps))
     toeplitz = np.where(lags >= 1, weights[lags], 0.0)   # row n-1: sum_j d_{n-j} u^j
     expect = toeplitz @ states[1:].reshape(n_steps, -1)
-    got = np.array(list(solver._blocked_history_sums(states, weights)))
+    got = np.array(list(solver._blocked_history_sums(states[1:], weights)))
     blocked = float(np.max(np.abs(got.reshape(n_steps, -1) - expect))
                     / np.max(np.abs(expect)))
     if blocked > 1e-13:

@@ -141,13 +141,15 @@ class ExperimentConfig(ModelParams):
     def _check_memory(self) -> None:
         """Reject a study whose arrays cannot fit in physical memory.
 
-        A chunk holds its increments and the states of the level it is
-        stepping, each about 8 B x (L+1) x chunk x N at the finest step
-        count L and the widest mode count N, plus a coarser level's summed
-        increments on the time axis; three such arrays bound all of it
-        from above.  The study also keeps every
-        trajectory's squared error at every level, 8 B x levels x n_traj,
-        and one cached (N, 2N) sine matrix, 16 B x N^2, per mode count.
+        A chunk holds its increments, about 8 B x (L+1) x chunk x N at the
+        finest step count L and the widest mode count N, and steps each
+        level in a buffer of that level's increments, the draw itself at
+        the closing level and at most half its size at the others: one and
+        a half such arrays.  The three counted here are a loose bound, with
+        room for the fGn sampler's per-call buffers and the per-step work
+        arrays.  The study also keeps every trajectory's squared error at
+        every level, 8 B x levels x n_traj, and one cached (N, 2N) sine
+        matrix, 16 B x N^2, per mode count.
         """
         finest = self.discretization(2 * self.levels[-1])
         per_chunk = (3 * 8 * (finest.n_steps + 1) * min(self.n_traj, _CHUNK)
@@ -229,8 +231,13 @@ def _chunk_squared_errors(config: ExperimentConfig, trajectories) -> np.ndarray:
     loop serves both axes: the increments are drawn once on the finest
     grid, and each level takes their first N modes and sums each group
     of adjacent steps that one of its coarser steps spans.  So the time
-    axis coarsens steps and the space axis drops modes.  A solver failure
-    is re-raised with the level and the absolute trajectory index.
+    axis coarsens steps and the space axis drops modes.  A level steps in
+    its own increments' buffer when nothing else reads it: a time-axis
+    level's summed increments, a fresh time-major array, and the closing
+    level's, which is the draw itself and runs last.  The space axis's
+    coarser levels are views of the draw and step in a copy.  So a chunk
+    holds the draw and at most one coarser level's buffer.  A solver
+    failure is re-raised with the level and the absolute trajectory index.
     """
     all_levels = list(config.levels) + [2 * config.levels[-1]]
     fine = config.discretization(all_levels[-1])
@@ -245,8 +252,9 @@ def _chunk_squared_errors(config: ExperimentConfig, trajectories) -> np.ndarray:
         if group > 1:
             coarse = coarse.reshape(
                 len(trajectories), disc.n_steps, group, disc.n_modes).sum(axis=2)
+        unread_later = group > 1 or level == all_levels[-1]
         try:
-            final = run_ensemble(config, disc, coarse)
+            final = run_ensemble(config, disc, coarse, overwrite_increments=unread_later)
         except SolverError as exc:
             raise SolverError(exc.mode, exc.time_level, trajectories[exc.trajectory],
                               context=f"level {level}: ") from exc

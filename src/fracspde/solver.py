@@ -17,11 +17,16 @@ a 2x-oversampled grid of M = 2N nodes, apply f pointwise, project back).
 matrix.
 
 One core, ``_advance``, runs the time loop for both entry points:
-``run_trajectory`` advances one path with states (L+1, N) and keeps the
-whole history; ``run_ensemble`` advances a batch in lockstep with states
-(L+1, n_traj, N), as the convergence studies do.  The update is written
-only in ``_solve``, which takes the CQ history sum from one of two
-kernels:
+``run_trajectory`` advances one path with states (L+1, N), row 0 being
+u^0 = 0, and keeps the whole history.  ``run_ensemble`` advances a batch
+in lockstep, as the convergence studies do, in place, in a C-contiguous
+time-major (L, n_traj, N) buffer: row n-1 holds step n's increment on
+entry and u^n on return, and u^0 = 0 is not stored.  That buffer is a
+fresh copy of the increments unless the keyword-only
+``overwrite_increments=True`` (scipy's ``overwrite_x`` convention) lets
+it be the caller's time-major draw; the full CQ memory then costs no
+array beyond the draw.  The update is written only in ``_solve``, which
+takes the CQ history sum from one of two kernels:
 
 * One path: ``step``, which sums with ``cq.apply_cq_history``, an einsum
   that adds d_1 u^{n-1} first and gives every mode the same arithmetic
@@ -170,15 +175,20 @@ def step(history: np.ndarray, weights: np.ndarray, lam_s: np.ndarray, tau: float
 def _blocked_history_sums(states: np.ndarray, weights: np.ndarray):
     """Yield a batch's history sums sum_{j=1}^{n-1} d_{n-j} u^j for n = 1..L.
 
-    ``states`` is (L+1, n_traj, N) and is read as the caller fills it: the
-    n-th sum needs u^1..u^{n-1} only.  At the start of each block of
-    ``_BLOCK`` steps, GEMMs of a Toeplitz block of weights with the states
-    give the block's sums over all earlier states, one panel of at most
-    ``_PANEL`` states at a time, added in panel order.  Each step then adds
-    a gemv over the states of its own block.
+    ``states`` is the C-contiguous (L, n_traj, N) buffer whose row j-1 is
+    u^j, and is read as the caller fills it: the n-th sum needs rows up to
+    n-2 only.  A buffer that is not C-contiguous raises a ValueError: its
+    flattened rows would be a copy, and the sums would read stale states.
+    At the start of each block of ``_BLOCK`` steps, GEMMs of a Toeplitz
+    block of weights with the states give the block's sums over all
+    earlier states, one panel of at most ``_PANEL`` states at a time, added
+    in panel order.  Each step then adds a gemv over the states of its own
+    block.
     """
-    n_steps = states.shape[0] - 1
-    flat = states.reshape(n_steps + 1, -1)
+    if not states.flags.c_contiguous:
+        raise ValueError("the states buffer must be C-contiguous")
+    n_steps = states.shape[0]
+    flat = states.reshape(n_steps, -1)                # row j-1 is u^j
     w_rev = weights[:0:-1].copy()                     # d_{L-1} .. d_1
     far = np.zeros((_BLOCK, flat.shape[1]))           # the first block has none
     for n0 in range(1, n_steps + 1, _BLOCK):
@@ -187,38 +197,47 @@ def _blocked_history_sums(states: np.ndarray, weights: np.ndarray):
             p1 = min(p0 + _PANEL, n0)
             toeplitz = weights[np.arange(n0, n0 + rows)[:, None] - np.arange(p0, p1)]
             if p0 == 1:
-                np.matmul(toeplitz, flat[p0:p1], out=far[:rows])
+                np.matmul(toeplitz, flat[p0 - 1:p1 - 1], out=far[:rows])
             else:
-                far[:rows] += toeplitz @ flat[p0:p1]
+                far[:rows] += toeplitz @ flat[p0 - 1:p1 - 1]
         for r in range(rows):
-            near = w_rev[n_steps - 1 - r:] @ flat[n0:n0 + r]     # d_r .. d_1
+            near = w_rev[n_steps - 1 - r:] @ flat[n0 - 1:n0 - 1 + r]   # d_r .. d_1
             yield (far[r] + near).reshape(states.shape[1:])
 
 
-def _advance(params: ModelParams, disc: Discretization,
-             increments: np.ndarray) -> np.ndarray:
-    """States (L+1, *batch, N) from increments (*batch, L, N), batch () or (n_traj,)."""
+def _advance(params: ModelParams, disc: Discretization, states: np.ndarray,
+             increments: np.ndarray | None = None) -> np.ndarray:
+    """Step ``states`` and return it.
+
+    One path: ``states`` is a zeroed (L+1, N) array whose row 0 is u^0,
+    and row n gets u^n from row n-1 of the (L, N) ``increments``.  A batch:
+    ``states`` is the C-contiguous (L, n_traj, N) buffer of
+    :func:`_blocked_history_sums` and ``increments`` is None; row n-1 holds
+    step n's increment on entry and u^n on return.
+    """
     n_modes, tau, n_steps = disc.n_modes, disc.tau, disc.n_steps
     lam_s = spectral.eigenvalues(n_modes) ** params.s
     weights = cq.cq_weights(1.0 - params.alpha, tau, n_steps)
     denom = 1.0 / tau + weights[0] * lam_s
     amp = np.arange(1, n_modes + 1, dtype=float) ** (0.5 * params.m)
-    inc = np.moveaxis(increments, -2, 0)      # time-major view, not a copy
     f = params.f
-    states = np.zeros((n_steps + 1,) + inc.shape[1:])
-    batch_sums = _blocked_history_sums(states, weights) if states.ndim == 3 else None
+    batch = increments is None
+    rows = states if batch else states[1:]    # row n-1: u^n
+    inc = rows if batch else increments
+    prev = np.zeros(states.shape[1:]) if batch else states[0]
+    batch_sums = _blocked_history_sums(states, weights) if batch else None
     for n in range(1, n_steps + 1):
         fterm = 0.0 if f is None else spectral.project(
-            f(spectral.synthesize(states[n - 1], 2 * n_modes)), n_modes)
+            f(spectral.synthesize(prev, 2 * n_modes)), n_modes)
         noise = amp * inc[n - 1] / tau
-        if batch_sums is None:
-            states[n] = step(states[:n], weights, lam_s, tau, fterm, noise)
+        if batch:
+            rows[n - 1] = _solve(prev, next(batch_sums), lam_s, tau, denom,
+                                 fterm, noise)
         else:
-            states[n] = _solve(states[n - 1], next(batch_sums), lam_s, tau, denom,
-                               fterm, noise)
-        if not np.all(np.isfinite(states[n])):
-            *traj, mode = np.unravel_index(np.argmax(~np.isfinite(states[n])),
-                                           states[n].shape)
+            rows[n - 1] = step(states[:n], weights, lam_s, tau, fterm, noise)
+        prev = rows[n - 1]
+        if not np.all(np.isfinite(prev)):
+            *traj, mode = np.unravel_index(np.argmax(~np.isfinite(prev)), prev.shape)
             raise SolverError(int(mode) + 1, n, int(traj[0]) if traj else None)
     return states
 
@@ -229,34 +248,43 @@ def run_trajectory(params: ModelParams, disc: Discretization,
 
     ``increments`` is the (L, N) array of raw fGn increments for modes
     1..N (spectral amplitudes sqrt(k^m) are applied here, not by the
-    sampler). states[0] is the zero initial condition.
+    sampler); it is left as it is.  states[0] is the zero initial
+    condition.
     """
     increments = np.asarray(increments, dtype=float)
     if increments.shape != (disc.n_steps, disc.n_modes):
         raise ValueError(f"increments shaped {increments.shape}, "
                          f"expected ({disc.n_steps}, {disc.n_modes})")
-    return _advance(params, disc, increments)
+    return _advance(params, disc, np.zeros((disc.n_steps + 1, disc.n_modes)),
+                    increments)
 
 
-def run_ensemble(params: ModelParams, disc: Discretization,
-                 increments: np.ndarray) -> np.ndarray:
+def run_ensemble(params: ModelParams, disc: Discretization, increments: np.ndarray,
+                 *, overwrite_increments: bool = False) -> np.ndarray:
     """Advance a batch of trajectories; returns final coefficients (n_traj, N).
 
     ``increments`` is (n_traj, L, N).  Each path follows ``run_trajectory``'s
     scheme, but the batch sums its history in blocks of GEMMs and gemvs
     (``_blocked_history_sums``): a path equals its ``run_trajectory`` run
     to rounding, its bits can change with the batch width, and they do
-    not change with the BLAS thread count.  The result is a copy that owns
-    its memory, not a view of the (L+1, n_traj, N) states, so the states
-    are freed when this returns.  Each step forms its noise forcing from
-    its own row of increments; the time-major view that
-    ``fbm.mode_increments`` returns gives contiguous rows.
+    not change with the BLAS thread count.  The batch steps in a
+    C-contiguous time-major (L, n_traj, N) buffer that holds the
+    increments on entry and the states u^1..u^L on return.  By default
+    that is a fresh copy, and ``increments`` is left as it is.  With
+    ``overwrite_increments=True`` it is the caller's own storage when that
+    is time-major and writeable, as ``fbm.mode_increments`` returns it,
+    and then holds the states afterwards; it is a copy otherwise.
+    The result is a copy that owns its memory, not a view of the states,
+    so a fresh buffer is freed when this returns.
     """
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 3 or increments.shape[1:] != (disc.n_steps, disc.n_modes):
         raise ValueError(f"increments shaped {increments.shape}, "
                          f"expected (n_traj, {disc.n_steps}, {disc.n_modes})")
-    return _advance(params, disc, increments)[-1].copy()
+    time_major = np.moveaxis(increments, 1, 0)
+    states = (np.require(time_major, requirements="CW") if overwrite_increments
+              else np.array(time_major, order="C"))
+    return _advance(params, disc, states)[-1].copy()
 
 
 # ---------------------------------------------------------------------------

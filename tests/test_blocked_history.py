@@ -37,12 +37,21 @@ def test_blocked_sums_match_the_dense_toeplitz_product(n_steps):
     rng = np.random.default_rng(n_steps)
     weights = cq.cq_weights(0.7, 0.01 / n_steps, n_steps)
     states = rng.standard_normal((n_steps + 1, 3, 5))
-    got = np.array(list(solver._blocked_history_sums(states, weights)))
+    got = np.array(list(solver._blocked_history_sums(states[1:], weights)))
     assert got.shape == (n_steps, 3, 5)
     expect = _dense_history_sums(states, weights)
     # relative to the sum of |terms|, since some sums cancel
     scale = np.abs(_dense_history_sums(np.abs(states), np.abs(weights)))
     assert np.all(np.abs(got.reshape(n_steps, -1) - expect) <= 1e-13 * scale)
+
+
+def test_blocked_sums_refuse_a_buffer_that_is_not_c_contiguous():
+    # its (L, n_traj * N) reshape would be a copy, and the sums would read
+    # the rows as they were before the stepper filled them
+    weights = cq.cq_weights(0.7, 0.01 / 20, 20)
+    states = np.moveaxis(np.zeros((3, 20, 5)), 1, 0)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        next(solver._blocked_history_sums(states, weights))
 
 
 @pytest.mark.parametrize("nonlinearity", ["sin", "zero"])

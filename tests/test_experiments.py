@@ -318,6 +318,26 @@ def test_solver_error_names_absolute_trajectory(axis, level, threads):
             run_convergence_study(cfg, threads=threads)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_solver_error_at_the_closing_level_names_it(threads):
+    # the closing level, N=8 on a grid of 16 points, steps inside the
+    # chunk's draw; only it blows up, in row 3 of the second batch, which
+    # is trajectory 28
+    def blow_up_closing_level(u):
+        out = np.sin(u)
+        if u.shape == (5, 16):
+            out[3] = np.inf
+        return out
+
+    cfg = _config(axis="space", levels=(2, 4), fixed_other=8, hurst=0.3,
+                  n_traj=30, nonlinearity=blow_up_closing_level)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(SolverError, match=(
+                "^level 8: non-finite coefficient in trajectory 28, "
+                "mode 1 at time level 1$")):
+            run_convergence_study(cfg, threads=threads)
+
+
 def test_solver_error_survives_pickling():
     exc = pickle.loads(pickle.dumps(SolverError(3, 7, 28, context="level 8: ")))
     assert isinstance(exc, SolverError)

@@ -1,11 +1,13 @@
 """Memory footprint of a study chunk and of its fGn sampling.
 
 The backward-Euler CQ couples every step to the whole history, so a chunk
-keeps all L+1 states of the level it steps.  Besides those it should hold
-only its increments: no full-size noise forcing array, no copy of the
-increments for the stepper's time-major order, and no states of a level it
-has finished.  The fGn sampler draws every mode of a call into one set
-of buffers.
+keeps all L states of the level it steps.  It keeps them in the buffer
+that held that level's increments: the closing level steps in the draw
+itself, and a time-axis level in its summed increments, so besides the
+draw a chunk holds at most one coarser level's buffer, half the draw's
+size.  It holds no full-size noise forcing array, no full-size copy of
+the draw, and no states of a level it has finished.  The fGn sampler
+draws every mode of a call into one set of buffers.
 """
 import os
 import subprocess
@@ -60,6 +62,48 @@ def test_chunk_peak_memory_stays_under_two_and_a_half_state_arrays():
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * full, (axis, peak / full)
+
+
+def test_chunk_peak_memory_stays_under_one_and_three_quarter_state_arrays():
+    # the same configs: a chunk holds its draw and at most one coarser
+    # level's buffer, of half the draw's size
+    n_traj = 25
+    full = 8 * (256 + 1) * n_traj * 32
+    for axis, levels, fixed_other in (("time", (32, 64, 128), 32),
+                                      ("space", (4, 8, 16), 256)):
+        config = ExperimentConfig(alpha=0.3, s=0.7, hurst=0.8, m=-1.0, axis=axis,
+                                  levels=levels, fixed_other=fixed_other,
+                                  n_traj=n_traj, seed=3)
+        _chunk_squared_errors(config, range(n_traj))     # fill the sine-matrix cache
+        tracemalloc.start()
+        try:
+            _chunk_squared_errors(config, range(n_traj))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * full, (axis, peak / full)
+
+
+def test_time_coarsening_sums_land_time_major():
+    # so the time axis's coarser levels step in their own sums, uncopied
+    inc = fbm.mode_increments(0.8, 1e-3, 64, 4, 6, range(5))
+    coarse = inc.reshape(5, 16, 4, 6).sum(axis=2)
+    assert np.moveaxis(coarse, 1, 0).flags["C_CONTIGUOUS"]
+
+
+def test_overwrite_steps_in_the_draw_without_a_second_array():
+    params = ModelParams(alpha=0.3, s=0.7, hurst=0.8, m=-1.0)
+    disc = Discretization(n_modes=32, n_steps=256, tau=0.01 / 256)
+    inc = fbm.mode_increments(0.8, disc.tau, 256, 3, 32, range(25))
+    run_ensemble(params, disc, inc[:2])                 # fill the sine-matrix cache
+    tracemalloc.start()
+    try:
+        final = run_ensemble(params, disc, inc, overwrite_increments=True)
+        peak = tracemalloc.get_traced_memory()[1]       # beyond the draw
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * inc.nbytes, peak / inc.nbytes
+    assert np.array_equal(inc[:, -1], final)
 
 
 def _mode_increments_peak_beyond_output(n_modes):

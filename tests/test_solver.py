@@ -155,6 +155,45 @@ def test_ensemble_matches_trajectory_runs():
         np.testing.assert_allclose(batch[i], single[-1], atol=1e-15)
 
 
+def test_default_runs_leave_the_increments_unchanged():
+    params = _params()
+    disc = Discretization(n_modes=6, n_steps=40, tau=0.01 / 40)
+    inc = fbm.mode_increments(params.hurst, disc.tau, 40, 5, 6, range(3))
+    before = inc.tobytes()
+    solver.run_ensemble(params, disc, inc)
+    solver.run_trajectory(params, disc, inc[1])
+    assert inc.tobytes() == before
+
+
+def test_overwrite_steps_in_a_time_major_draw_and_keeps_the_bits():
+    params = _params()
+    disc = Discretization(n_modes=6, n_steps=40, tau=0.01 / 40)
+    inc = fbm.mode_increments(params.hurst, disc.tau, 40, 5, 6, range(3))
+    default = solver.run_ensemble(params, disc, inc)
+    overwritten = solver.run_ensemble(params, disc, inc, overwrite_increments=True)
+    assert np.array_equal(overwritten, default)
+    # the draw now holds u^1..u^L, the last time level being the finals
+    assert np.array_equal(inc[:, -1], overwritten)
+
+
+@pytest.mark.parametrize("layout", ["trajectory-major", "read-only"])
+def test_overwrite_copies_an_array_it_cannot_step_in_and_keeps_the_bits(layout):
+    # a C-ordered (n_traj, L, N) array is not time-major, and a read-only
+    # draw cannot be written, so the batch steps in a copy of either
+    params = _params()
+    disc = Discretization(n_modes=6, n_steps=40, tau=0.01 / 40)
+    if layout == "read-only":
+        inc = fbm.mode_increments(params.hurst, disc.tau, 40, 5, 6, range(3))
+        inc.setflags(write=False)
+    else:
+        inc = 1e-3 * np.random.default_rng(8).standard_normal((3, 40, 6))
+    before = inc.tobytes()
+    default = solver.run_ensemble(params, disc, inc)
+    overwritten = solver.run_ensemble(params, disc, inc, overwrite_increments=True)
+    assert np.array_equal(overwritten, default)
+    assert inc.tobytes() == before
+
+
 def test_custom_nonlinearity():
     disc = Discretization(n_modes=5, n_steps=8, tau=0.001)
     rng = np.random.default_rng(13)

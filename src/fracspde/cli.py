@@ -132,9 +132,11 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)   # a bad --out fails before the run
     disc = config.discretization(config.levels[-1])
-    increments = fbm.mode_increments(config.hurst, disc.tau, disc.n_steps,
-                                     config.seed, disc.n_modes, [0])
-    states = solver.run_trajectory(config, disc, increments[0])
+    # the draw fills rows 1..L of the states, and the path steps there
+    states = np.zeros((disc.n_steps + 1, disc.n_modes))
+    increments = fbm.mode_increments(config.hurst, disc.tau, disc.n_steps, config.seed,
+                                     disc.n_modes, [0], out=states[1:, None])
+    solver.run_trajectory(config, disc, increments[0], out=states)
     solver.dump_trajectory(out_dir / "trajectory.bin", states, config, disc,
                            config.seed)
     _write_manifest(out_dir, config, "trajectory")

@@ -311,7 +311,8 @@ def _index(name: str, value) -> int:
 
 
 def mode_increments(h: float, tau: float, n_steps: int, master_seed: int,
-                    n_modes: int, trajectories) -> np.ndarray:
+                    n_modes: int, trajectories, *,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """fGn increments for modes 1..n_modes and the given trajectory indices.
 
     Returns a transposed view of shape (len(trajectories), n_steps,
@@ -333,14 +334,22 @@ def mode_increments(h: float, tau: float, n_steps: int, master_seed: int,
     each mode's block is written into it transposed, once; the result is
     the transposed view of it.  So ``np.moveaxis(result, 1, 0)`` is a
     C-contiguous (L, n_traj, N) array without a copy, one time level per
-    row, which is the order the stepper reads.
+    row, which is the order the stepper reads.  The storage is a new
+    array, or ``out``, a float64 array of that time-major shape that the
+    draw overwrites: the trajectory command passes rows 1..L of the
+    states it steps in, so the draw needs no array of its own.
     """
     master_seed = _index("master_seed", master_seed)
     trajectories = [_index("trajectory index", traj) for traj in trajectories]
+    shape = (n_steps, len(trajectories), n_modes)
+    if out is None:
+        out = np.empty(shape)
+    elif not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != float:
+        raise ValueError(f"out must be a float64 array shaped {shape}, got "
+                         f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}")
     keys = _philox_keys(master_seed, range(1, n_modes + 1), trajectories)
     gen = np.random.Generator(np.random.Philox(0))
     root = _circulant_root(h, tau, n_steps)
-    out = np.empty((n_steps, len(trajectories), n_modes))
     _lent.buffers = _sampler_buffers(len(trajectories), n_steps)
     try:
         for k in range(1, n_modes + 1):

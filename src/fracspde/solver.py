@@ -16,17 +16,26 @@ a 2x-oversampled grid of M = 2N nodes, apply f pointwise, project back).
 ``spectral`` does both transforms as products with a cached (N, 2N) sine
 matrix.
 
-One core, ``_advance``, runs the time loop for both entry points:
-``run_trajectory`` advances one path with states (L+1, N), row 0 being
-u^0 = 0, and keeps the whole history.  ``run_ensemble`` advances a batch
-in lockstep, as the convergence studies do, in place, in a C-contiguous
-time-major (L, n_traj, N) buffer: row n-1 holds step n's increment on
-entry and u^n on return, and u^0 = 0 is not stored.  That buffer is a
-fresh copy of the increments unless the keyword-only
+One core, ``_advance``, runs the time loop for both entry points, in
+place: before the loop two whole-buffer passes write each step's noise
+forcing sqrt(k^m) dW_k^n / tau, with the two roundings of the per-step
+product, into the row that then gets u^n.  ``run_trajectory`` advances
+one path in the states (L+1, N), row 0 being u^0 = 0, and keeps the
+whole history.  Its keyword-only ``out`` lends those states, and the
+increments may be ``out[1:]`` itself, as the trajectory command draws
+them; the path then holds no array beyond its states.  ``run_ensemble``
+advances a batch in lockstep, as the convergence studies do, in a
+C-contiguous time-major (L, n_traj, N) buffer that holds the increments
+on entry, with row n-1 for step n; u^0 = 0 is not stored.  That buffer
+is a fresh copy of the increments unless the keyword-only
 ``overwrite_increments=True`` (scipy's ``overwrite_x`` convention) lets
-it be the caller's time-major draw; the full CQ memory then costs no
-array beyond the draw.  The update is written only in ``_solve``, which
-takes the CQ history sum from one of two kernels:
+it be the caller's time-major draw.  Finiteness is checked once per
+``_BLOCK`` steps and at the last step, and the first non-finite entry in
+row order names the step.  Up to ``_BLOCK - 1`` steps may run on a
+non-finite state before the check, so the loop runs with numpy's
+invalid-value warnings off: the SolverError reports the state.  The
+update is written only in ``_solve``, which takes the CQ history sum
+from one of two kernels:
 
 * One path: ``step``, which sums with ``cq.apply_cq_history``, an einsum
   that adds d_1 u^{n-1} first and gives every mode the same arithmetic
@@ -157,10 +166,11 @@ class SolverError(RuntimeError):
 
 
 def _solve(prev: np.ndarray, hist_sum, lam_s: np.ndarray, tau: float, denom,
-           forcing_coeffs, noise_coeffs) -> np.ndarray:
-    """u^n from u^{n-1} = ``prev``, the CQ history sum and denom = 1/tau + d_0 lam_s."""
+           forcing_coeffs, noise_coeffs, out=None) -> np.ndarray:
+    """u^n from u^{n-1} = ``prev``, the CQ history sum and denom = 1/tau + d_0 lam_s,
+    written into ``out`` if given; ``noise_coeffs`` may be ``out`` itself."""
     rhs = prev / tau - lam_s * hist_sum + forcing_coeffs + noise_coeffs
-    return rhs / denom
+    return np.divide(rhs, denom, out=out)
 
 
 def step(history: np.ndarray, weights: np.ndarray, lam_s: np.ndarray, tau: float,
@@ -205,15 +215,26 @@ def _blocked_history_sums(states: np.ndarray, weights: np.ndarray):
             yield (far[r] + near).reshape(states.shape[1:])
 
 
+def _check_finite(rows: np.ndarray, first: int) -> None:
+    """Raise the SolverError of the first non-finite entry, in row order, of
+    ``rows``, the states u^first .. u^{first+len(rows)-1}."""
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        row, *traj, mode = np.unravel_index(np.argmax(bad), rows.shape)
+        raise SolverError(int(mode) + 1, first + int(row), int(traj[0]) if traj else None)
+
+
 def _advance(params: ModelParams, disc: Discretization, states: np.ndarray,
              increments: np.ndarray | None = None) -> np.ndarray:
-    """Step ``states`` and return it.
+    """Step ``states`` in place and return it.
 
-    One path: ``states`` is a zeroed (L+1, N) array whose row 0 is u^0,
-    and row n gets u^n from row n-1 of the (L, N) ``increments``.  A batch:
-    ``states`` is the C-contiguous (L, n_traj, N) buffer of
-    :func:`_blocked_history_sums` and ``increments`` is None; row n-1 holds
-    step n's increment on entry and u^n on return.
+    One path: ``states`` is an (L+1, N) array whose row 0 is u^0 = 0, and
+    row n gets u^n from row n-1 of the (L, N) ``increments``, which may be
+    ``states[1:]`` itself.  A batch: ``states`` is the C-contiguous
+    (L, n_traj, N) buffer of :func:`_blocked_history_sums` and
+    ``increments`` is None; row n-1 holds step n's increment on entry.
+    Either way the stepping rows hold the noise forcing before the loop
+    and u^n on return.
     """
     n_modes, tau, n_steps = disc.n_modes, disc.tau, disc.n_steps
     lam_s = spectral.eigenvalues(n_modes) ** params.s
@@ -223,40 +244,60 @@ def _advance(params: ModelParams, disc: Discretization, states: np.ndarray,
     f = params.f
     batch = increments is None
     rows = states if batch else states[1:]    # row n-1: u^n
-    inc = rows if batch else increments
+    # the noise forcing amp * inc / tau, rounded as a per-step product is
+    np.multiply(amp, rows if batch else increments, out=rows)
+    np.divide(rows, tau, out=rows)
     prev = np.zeros(states.shape[1:]) if batch else states[0]
     batch_sums = _blocked_history_sums(states, weights) if batch else None
-    for n in range(1, n_steps + 1):
-        fterm = 0.0 if f is None else spectral.project(
-            f(spectral.synthesize(prev, 2 * n_modes)), n_modes)
-        noise = amp * inc[n - 1] / tau
-        if batch:
-            rows[n - 1] = _solve(prev, next(batch_sums), lam_s, tau, denom,
-                                 fterm, noise)
-        else:
-            rows[n - 1] = step(states[:n], weights, lam_s, tau, fterm, noise)
-        prev = rows[n - 1]
-        if not np.all(np.isfinite(prev)):
-            *traj, mode = np.unravel_index(np.argmax(~np.isfinite(prev)), prev.shape)
-            raise SolverError(int(mode) + 1, n, int(traj[0]) if traj else None)
+    checked = 0                               # rows[:checked] are finite
+    with np.errstate(invalid="ignore"):       # steps after a bad one meet inf
+        for n in range(1, n_steps + 1):
+            fterm = 0.0 if f is None else spectral.project(
+                f(spectral.synthesize(prev, 2 * n_modes)), n_modes)
+            if batch:
+                _solve(prev, next(batch_sums), lam_s, tau, denom, fterm, rows[n - 1],
+                       out=rows[n - 1])
+            else:
+                rows[n - 1] = step(states[:n], weights, lam_s, tau, fterm, rows[n - 1])
+            prev = rows[n - 1]
+            if n % _BLOCK == 0 or n == n_steps:
+                _check_finite(rows[checked:n], checked + 1)
+                checked = n
     return states
 
 
+def _is_view(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b``, of one shape, address the same elements."""
+    return a.ctypes.data == b.ctypes.data and all(
+        sa == sb for sa, sb, n in zip(a.strides, b.strides, a.shape) if n > 1)
+
+
 def run_trajectory(params: ModelParams, disc: Discretization,
-                   increments: np.ndarray) -> np.ndarray:
+                   increments: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Advance one trajectory; returns states of shape (L+1, N).
 
     ``increments`` is the (L, N) array of raw fGn increments for modes
     1..N (spectral amplitudes sqrt(k^m) are applied here, not by the
-    sampler); it is left as it is.  states[0] is the zero initial
-    condition.
+    sampler).  states[0] is the zero initial condition.  The states are a
+    new array, or ``out``, a float64 (L+1, N) array that is overwritten and
+    returned.  ``increments`` is left as it is unless it is ``out[1:]``,
+    which the run steps in place, so the path needs no second array; any
+    other overlap of the two raises a ValueError.
     """
     increments = np.asarray(increments, dtype=float)
+    shape = (disc.n_steps + 1, disc.n_modes)
     if increments.shape != (disc.n_steps, disc.n_modes):
         raise ValueError(f"increments shaped {increments.shape}, "
                          f"expected ({disc.n_steps}, {disc.n_modes})")
-    return _advance(params, disc, np.zeros((disc.n_steps + 1, disc.n_modes)),
-                    increments)
+    if out is None:
+        return _advance(params, disc, np.zeros(shape), increments)
+    if not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != float:
+        raise ValueError(f"out must be a float64 array shaped {shape}, got "
+                         f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}")
+    if np.shares_memory(out, increments) and not _is_view(increments, out[1:]):
+        raise ValueError("increments overlap out other than as out[1:]")
+    out[0] = 0.0
+    return _advance(params, disc, out, increments)
 
 
 def run_ensemble(params: ModelParams, disc: Discretization, increments: np.ndarray,
@@ -307,7 +348,9 @@ def dump_trajectory(path, states: np.ndarray, params: ModelParams,
     m, t_final, tau as f8; n_modes, n_steps, seed, nonlinearity code as
     u8), then the states as float64, time level major.
     """
-    nl_code = _NL_CODES.get(params.nonlinearity, 2)   # 2 = custom callable
+    # a callable need not be hashable, so only a tag is looked up
+    nl = params.nonlinearity
+    nl_code = _NL_CODES[nl] if isinstance(nl, str) else 2   # 2 = custom callable
     header = np.array([(params.alpha, params.s, params.hurst, params.m,
                         params.t_final, disc.tau, disc.n_modes, disc.n_steps,
                         master_seed, nl_code)],

@@ -1,4 +1,6 @@
+import importlib
 import json
+from collections import Counter
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -213,6 +215,56 @@ def test_trajectory_command(tmp_path, axis):
     assert meta["seed"] == 5
     assert np.all(np.isfinite(states))
     assert (out / "manifest.json").exists()
+
+
+# The benchmark's traced run (bench/layers.py) wraps these module
+# attributes and runs ``cli.main`` in its own process; a layer that stops
+# calling one of them through its module reads as a missing span there.
+_SPANS = [("cli", "run_convergence_study"), ("experiments", "run_ensemble"),
+          ("experiments", "pathwise_error"), ("fbm", "mode_increments"),
+          ("fbm", "sample_fbm_circulant"), ("fbm", "increment_covariance"),
+          ("spectral", "synthesize"), ("spectral", "project"), ("cq", "cq_weights"),
+          ("solver", "run_trajectory"), ("solver", "step"), ("solver", "dump_trajectory")]
+
+
+def _count_span_calls(monkeypatch) -> Counter:
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module_name, attr in _SPANS:
+        module = importlib.import_module(f"fracspde.{module_name}")
+        monkeypatch.setattr(module, attr, counted(f"{module_name}.{attr}",
+                                                  getattr(module, attr)))
+    return calls
+
+
+def test_trajectory_calls_every_benchmark_span_through_its_module(tmp_path, monkeypatch):
+    cfg_path = _write_tiny_config(tmp_path, levels="32,64", fixed_other=8)
+    calls = _count_span_calls(monkeypatch)
+    assert cli.main(["trajectory", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "o"), "--threads", "1"]) == 0
+    # L=64 steps of N=8 modes: one step, one synthesis and one projection
+    # per step, one sampler call per mode
+    assert (calls["solver.step"], calls["spectral.synthesize"],
+            calls["spectral.project"], calls["fbm.sample_fbm_circulant"]) == (64, 64, 64, 8)
+    for span in ("solver.run_trajectory", "solver.dump_trajectory",
+                 "fbm.mode_increments", "cq.cq_weights"):
+        assert calls[span] >= 1, span
+
+
+def test_space_study_calls_every_benchmark_span_through_its_module(tmp_path, monkeypatch):
+    cfg_path = _write_tiny_config(tmp_path, axis="space", levels="2,4", fixed_other=16)
+    calls = _count_span_calls(monkeypatch)
+    assert cli.main(["study", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "o"), "--threads", "1"]) == 0
+    for span in ("cli.run_convergence_study", "experiments.run_ensemble",
+                 "experiments.pathwise_error"):
+        assert calls[span] >= 1, span
 
 
 @pytest.mark.parametrize("command", ["study", "trajectory"])

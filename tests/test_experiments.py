@@ -338,6 +338,31 @@ def test_solver_error_at_the_closing_level_names_it(threads):
             run_convergence_study(cfg, threads=threads)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("level", [9, 16, 20])
+def test_solver_error_at_a_later_step_of_the_closing_level_names_it(threads, level):
+    # the closing level, N=8 on a grid of 16 points, has 20 steps, not a
+    # multiple of the 16-step finiteness check; trajectories 25..29 form
+    # the second chunk, which a child runs at 2 workers, and f returns inf
+    # in its row 3, trajectory 28, on the call that gives u^level
+    calls = []
+
+    def blow_up_closing_level(u):
+        out = np.sin(u)
+        if u.shape == (5, 16):
+            calls.append(None)
+            if len(calls) == level:
+                out[3] = np.inf
+        return out
+
+    cfg = _config(axis="space", levels=(2, 4), fixed_other=20, hurst=0.3,
+                  n_traj=30, nonlinearity=blow_up_closing_level)
+    with pytest.raises(SolverError, match=(
+            "^level 8: non-finite coefficient in trajectory 28, "
+            f"mode 1 at time level {level}$")):
+        run_convergence_study(cfg, threads=threads)
+
+
 def test_solver_error_survives_pickling():
     exc = pickle.loads(pickle.dumps(SolverError(3, 7, 28, context="level 8: ")))
     assert isinstance(exc, SolverError)

@@ -310,3 +310,18 @@ def test_sampler_rejects_a_root_of_another_length(n_steps):
     root = fbm._circulant_root(0.3, 0.01, 8)
     with pytest.raises(ValueError, match=f"root for L={n_steps} "):
         fbm.sample_fbm_circulant(0.3, 0.01, n_steps, np.random.default_rng(0), root=root)
+
+
+def test_mode_increments_fills_the_storage_it_is_given():
+    out = np.full((16, 3, 5), np.nan)
+    drawn = fbm.mode_increments(0.3, 1e-3, 16, 2, 5, [4, 0, 9], out=out)
+    assert np.shares_memory(drawn, out)
+    assert np.array_equal(drawn, fbm.mode_increments(0.3, 1e-3, 16, 2, 5, [4, 0, 9]))
+    assert np.array_equal(np.moveaxis(drawn, 1, 0), out)
+
+
+@pytest.mark.parametrize("out", [np.empty((16, 5, 3)), np.empty((16, 3, 5), dtype=np.float32),
+                                 np.empty((15, 3, 5)), [[[0.0] * 5] * 3] * 16])
+def test_mode_increments_names_an_out_of_the_wrong_shape_or_dtype(out):
+    with pytest.raises(ValueError, match="^out must be a float64 array shaped"):
+        fbm.mode_increments(0.3, 1e-3, 16, 2, 5, [4, 0, 9], out=out)

@@ -1,4 +1,4 @@
-"""Memory footprint of a study chunk and of its fGn sampling.
+"""Memory footprint of a study chunk, of a single path and of fGn sampling.
 
 The backward-Euler CQ couples every step to the whole history, so a chunk
 keeps all L states of the level it steps.  It keeps them in the buffer
@@ -7,7 +7,9 @@ itself, and a time-axis level in its summed increments, so besides the
 draw a chunk holds at most one coarser level's buffer, half the draw's
 size.  It holds no full-size noise forcing array, no full-size copy of
 the draw, and no states of a level it has finished.  The fGn sampler
-draws every mode of a call into one set of buffers.
+draws every mode of a call into one set of buffers, and a single path
+holds its L+1 states and nothing the size of them besides: its draw
+fills rows 1..L of the states.
 """
 import os
 import subprocess
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracspde import fbm
+from fracspde import cli, fbm
 from fracspde.experiments import ExperimentConfig, _chunk_squared_errors
 from fracspde.solver import Discretization, ModelParams, run_ensemble
 
@@ -128,7 +130,7 @@ def test_fgn_peak_memory_does_not_grow_with_the_mode_count():
 
 _FIRST_CALL_FAULTS = """
 import resource, sys
-from fracspde import fbm
+from fracspde import cli, fbm
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 out = fbm.mode_increments(0.3, 1 / 256, 256, 5, int(sys.argv[1]), range(25))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, out.nbytes)
@@ -153,3 +155,22 @@ def test_fgn_first_call_faults_in_no_pages_per_mode():
         counts[n_modes] = faults, nbytes // 4096
     output_pages = counts[64][1] - counts[4][1]
     assert counts[64][0] - counts[4][0] < 1.5 * output_pages, counts
+
+
+def test_trajectory_command_holds_one_state_array(tmp_path):
+    # the full CQ memory keeps all L+1 states; the fGn draw fills rows
+    # 1..L of them and the path steps there, so no second array is held
+    n_steps, n_modes = 1024, 64
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 0.3\ns = 0.7\nhurst = 0.8\nm = -1\naxis = time\n"
+                   f"levels = {n_steps}\nfixed_other = {n_modes}\n")
+    argv = ["trajectory", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 0                   # sine matrices, FFT set-up
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full = 8 * (n_steps + 1) * n_modes
+    assert peak < 1.5 * full, peak / full

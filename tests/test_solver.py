@@ -1,4 +1,5 @@
 import math
+import warnings
 import tracemalloc
 
 import numpy as np
@@ -361,3 +362,91 @@ def test_entry_points_reject_the_other_rank():
         solver.run_trajectory(params, disc, np.zeros((1, 6, 4)))
     with pytest.raises(ValueError, match="increments shaped"):
         solver.run_ensemble(params, disc, np.zeros((6, 4)))
+
+
+def test_run_trajectory_steps_in_out_aliased_disjoint_or_its_own():
+    params = _params()
+    disc = Discretization(n_modes=6, n_steps=40, tau=0.01 / 40)
+    inc = fbm.mode_increments(params.hurst, disc.tau, 40, 5, 6, [0])[0]
+    before = inc.tobytes()
+    default = solver.run_trajectory(params, disc, inc)
+    disjoint = np.full((41, 6), np.nan)
+    assert solver.run_trajectory(params, disc, inc, out=disjoint) is disjoint
+    assert np.array_equal(disjoint, default)
+    assert inc.tobytes() == before
+    # the trajectory command's layout: the draw fills rows 1..L of the states
+    states = np.full((41, 6), np.nan)
+    drawn = fbm.mode_increments(params.hurst, disc.tau, 40, 5, 6, [0], out=states[1:, None])
+    assert solver.run_trajectory(params, disc, drawn[0], out=states) is states
+    assert np.array_equal(states, default)
+
+
+@pytest.mark.parametrize("overlap", [lambda out: out[:-1], lambda out: out[1:, ::-1],
+                                     lambda out: out[::-1][:-1]])
+def test_run_trajectory_refuses_increments_overlapping_out_otherwise(overlap):
+    # stepping would read increments that earlier steps had overwritten
+    params = _params()
+    disc = Discretization(n_modes=4, n_steps=8, tau=0.01 / 8)
+    out = np.random.default_rng(3).standard_normal((9, 4))
+    before = out.tobytes()
+    with pytest.raises(ValueError, match="^increments overlap out other than as out"):
+        solver.run_trajectory(params, disc, overlap(out), out=out)
+    assert out.tobytes() == before
+
+
+@pytest.mark.parametrize("out", [np.zeros((8, 4)), np.zeros((9, 4), dtype=np.float32),
+                                 [[0.0] * 4] * 9])
+def test_run_trajectory_names_an_out_of_the_wrong_shape_or_dtype(out):
+    disc = Discretization(n_modes=4, n_steps=8, tau=0.01 / 8)
+    with pytest.raises(ValueError, match=r"^out must be a float64 array shaped \(9, 4\)"):
+        solver.run_trajectory(_params(), disc, np.zeros((8, 4)), out=out)
+
+
+# a step blows up where its increment is infinite: at step 1, mid-block, at
+# the last step of a 16-step block, and at the last step of a level whose
+# step count is not a multiple of 16
+_BLOW_UPS = [(40, 1), (40, 7), (40, 16), (40, 33), (21, 21)]
+
+
+@pytest.mark.parametrize("n_steps, level", _BLOW_UPS)
+def test_single_path_block_check_names_the_first_bad_step(n_steps, level):
+    disc = Discretization(n_modes=3, n_steps=n_steps, tau=0.01 / n_steps)
+    inc = 1e-3 * np.random.default_rng(level).standard_normal((n_steps, 3))
+    inc[level - 1, 1] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as info:
+            solver.run_trajectory(_params(), disc, inc)
+    assert str(info.value) == f"non-finite coefficient in mode 2 at time level {level}"
+
+
+@pytest.mark.parametrize("n_steps, level", _BLOW_UPS)
+def test_batch_block_check_names_the_first_bad_step(n_steps, level):
+    disc = Discretization(n_modes=4, n_steps=n_steps, tau=0.01 / n_steps)
+    inc = 1e-3 * np.random.default_rng(level).standard_normal((4, n_steps, 4))
+    inc[2, level - 1, 2] = np.inf
+    inc[3, n_steps - 1, 0] = np.inf         # later in row order, so not named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as info:
+            solver.run_ensemble(_params(), disc, inc)
+    assert str(info.value) == (f"non-finite coefficient in trajectory 2, mode 3 "
+                               f"at time level {level}")
+
+
+def test_trajectory_dump_codes_an_unhashable_callable_as_custom(tmp_path):
+    class Damped:                  # defines __eq__ without __hash__
+        def __eq__(self, other):
+            return isinstance(other, Damped)
+
+        def __call__(self, v):
+            return -v
+
+    params = _params(nonlinearity=Damped())
+    disc = Discretization(n_modes=2, n_steps=3, tau=0.01 / 3)
+    states = solver.run_trajectory(params, disc, np.zeros((3, 2)))
+    solver.dump_trajectory(tmp_path / "traj.bin", states, params, disc, 5)
+    assert solver.load_trajectory(tmp_path / "traj.bin")[1]["nonlinearity"] == "custom"
+    raw = (tmp_path / "traj.bin").read_bytes()
+    offset = 4 + solver._HEADER_DTYPE.fields["nonlinearity"][1]
+    assert int.from_bytes(raw[offset:offset + 8], "little") == 2

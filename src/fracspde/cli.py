@@ -133,7 +133,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)   # a bad --out fails before the run
     disc = config.discretization(config.levels[-1])
     # the draw fills rows 1..L of the states, and the path steps there
-    states = np.zeros((disc.n_steps + 1, disc.n_modes))
+    states = np.empty((disc.n_steps + 1, disc.n_modes))
     increments = fbm.mode_increments(config.hurst, disc.tau, disc.n_steps, config.seed,
                                      disc.n_modes, [0], out=states[1:, None])
     solver.run_trajectory(config, disc, increments[0], out=states)

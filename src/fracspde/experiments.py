@@ -142,11 +142,11 @@ class ExperimentConfig(ModelParams):
         """Reject a study whose arrays cannot fit in physical memory.
 
         A chunk holds its increments, about 8 B x (L+1) x chunk x N at the
-        finest step count L and the widest mode count N, and steps each
-        level in a buffer of that level's increments, the draw itself at
-        the closing level and at most half its size at the others: one and
-        a half such arrays.  The three counted here are a loose bound, with
-        room for the fGn sampler's per-call buffers and the per-step work
+        finest step count L and the widest mode count N, drawn into the
+        buffer its closing level steps in, and steps each other level in a
+        buffer of at most half that size: one and a half such arrays.
+        The three counted here are a loose bound, with room for the fGn
+        sampler's per-call buffers and the per-step work
         arrays.  The study also keeps every trajectory's squared error at
         every level, 8 B x levels x n_traj, and one cached (N, 2N) sine
         matrix, 16 B x N^2, per mode count.
@@ -232,29 +232,35 @@ def _chunk_squared_errors(config: ExperimentConfig, trajectories) -> np.ndarray:
     grid, and each level takes their first N modes and sums each group
     of adjacent steps that one of its coarser steps spans.  So the time
     axis coarsens steps and the space axis drops modes.  A level steps in
-    its own increments' buffer when nothing else reads it: a time-axis
-    level's summed increments, a fresh time-major array, and the closing
-    level's, which is the draw itself and runs last.  The space axis's
-    coarser levels are views of the draw and step in a copy.  So a chunk
-    holds the draw and at most one coarser level's buffer.  A solver
-    failure is re-raised with the level and the absolute trajectory index.
+    the ``out`` of :func:`run_ensemble` whose rows 1.. its increments are
+    made in: the draw in the closing level's, which runs last, and a
+    time-axis level's sums in its own.  A coarser space-axis level is a
+    view of the draw, which later levels still read, so it passes no
+    ``out`` and steps in a new buffer.  So a chunk holds the draw and at
+    most one coarser level's buffer.  A solver failure is re-raised with
+    the level and the absolute trajectory index.
     """
     all_levels = list(config.levels) + [2 * config.levels[-1]]
     fine = config.discretization(all_levels[-1])
+    n_traj = len(trajectories)
+    draw = np.empty((fine.n_steps + 1, n_traj, fine.n_modes))
     increments = fbm.mode_increments(config.hurst, fine.tau, fine.n_steps,
-                                     config.seed, fine.n_modes, trajectories)
-    out = np.empty((len(config.levels), len(trajectories)))
+                                     config.seed, fine.n_modes, trajectories,
+                                     out=draw[1:])
+    out = np.empty((len(config.levels), n_traj))
     previous = None
     for i, level in enumerate(all_levels):
         disc = config.discretization(level)
         coarse = increments[:, :, :disc.n_modes]
+        # the last level's buffer goes before this level's is made
+        states = draw if level == all_levels[-1] else None
         group = fine.n_steps // disc.n_steps
         if group > 1:
-            coarse = coarse.reshape(
-                len(trajectories), disc.n_steps, group, disc.n_modes).sum(axis=2)
-        unread_later = group > 1 or level == all_levels[-1]
+            states = np.empty((disc.n_steps + 1, n_traj, disc.n_modes))
+            coarse = coarse.reshape(n_traj, disc.n_steps, group, disc.n_modes).sum(
+                axis=2, out=np.moveaxis(states[1:], 0, 1))
         try:
-            final = run_ensemble(config, disc, coarse, overwrite_increments=unread_later)
+            final = run_ensemble(config, disc, coarse, out=states)
         except SolverError as exc:
             raise SolverError(exc.mode, exc.time_level, trajectories[exc.trajectory],
                               context=f"level {level}: ") from exc

@@ -336,8 +336,9 @@ def mode_increments(h: float, tau: float, n_steps: int, master_seed: int,
     C-contiguous (L, n_traj, N) array without a copy, one time level per
     row, which is the order the stepper reads.  The storage is a new
     array, or ``out``, a float64 array of that time-major shape that the
-    draw overwrites: the trajectory command passes rows 1..L of the
-    states it steps in, so the draw needs no array of its own.
+    draw overwrites.  The trajectory command and a study chunk pass rows
+    1..L of the stepping buffer of ``solver.run_trajectory`` or
+    ``solver.run_ensemble``, so the draw needs no array of its own.
     """
     master_seed = _index("master_seed", master_seed)
     trajectories = [_index("trajectory index", traj) for traj in trajectories]

@@ -17,19 +17,18 @@ a 2x-oversampled grid of M = 2N nodes, apply f pointwise, project back).
 matrix.
 
 One core, ``_advance``, runs the time loop for both entry points, in
-place: before the loop two whole-buffer passes write each step's noise
+place, in one kind of buffer: (L+1, N) for one path, a C-contiguous
+time-major (L+1, n_traj, N) array for a batch.  Row 0 is u^0 = 0, and
+row n holds step n's raw increment on entry and u^n on return; before
+the loop two whole-buffer passes turn each increment into its noise
 forcing sqrt(k^m) dW_k^n / tau, with the two roundings of the per-step
-product, into the row that then gets u^n.  ``run_trajectory`` advances
-one path in the states (L+1, N), row 0 being u^0 = 0, and keeps the
-whole history.  Its keyword-only ``out`` lends those states, and the
-increments may be ``out[1:]`` itself, as the trajectory command draws
-them; the path then holds no array beyond its states.  ``run_ensemble``
-advances a batch in lockstep, as the convergence studies do, in a
-C-contiguous time-major (L, n_traj, N) buffer that holds the increments
-on entry, with row n-1 for step n; u^0 = 0 is not stored.  That buffer
-is a fresh copy of the increments unless the keyword-only
-``overwrite_increments=True`` (scipy's ``overwrite_x`` convention) lets
-it be the caller's time-major draw.  Finiteness is checked once per
+product.  ``run_trajectory`` and ``run_ensemble`` (the batch in
+lockstep, as the convergence studies run it) build that buffer the same
+way, in ``_states``: their keyword-only ``out``, or a new array, with the
+increments copied into rows 1.. by ``np.copyto``, which is right under
+any overlap.  So a caller that draws the increments into ``out[1:]``, as
+the trajectory command and a study chunk do, steps in its own draw and
+holds no second array of that size.  Finiteness is checked once per
 ``_BLOCK`` steps and at the last step, and the first non-finite entry in
 row order names the step.  Up to ``_BLOCK - 1`` steps may run on a
 non-finite state before the check, so the loop runs with numpy's
@@ -224,17 +223,13 @@ def _check_finite(rows: np.ndarray, first: int) -> None:
         raise SolverError(int(mode) + 1, first + int(row), int(traj[0]) if traj else None)
 
 
-def _advance(params: ModelParams, disc: Discretization, states: np.ndarray,
-             increments: np.ndarray | None = None) -> np.ndarray:
+def _advance(params: ModelParams, disc: Discretization, states: np.ndarray) -> np.ndarray:
     """Step ``states`` in place and return it.
 
-    One path: ``states`` is an (L+1, N) array whose row 0 is u^0 = 0, and
-    row n gets u^n from row n-1 of the (L, N) ``increments``, which may be
-    ``states[1:]`` itself.  A batch: ``states`` is the C-contiguous
-    (L, n_traj, N) buffer of :func:`_blocked_history_sums` and
-    ``increments`` is None; row n-1 holds step n's increment on entry.
-    Either way the stepping rows hold the noise forcing before the loop
-    and u^n on return.
+    ``states`` is the buffer of :func:`_states`, (L+1, N) for one path or
+    (L+1, n_traj, N) for a batch: row 0 is u^0 = 0, and row n holds step
+    n's raw increment on entry, its noise forcing before the loop and u^n
+    on return.
     """
     n_modes, tau, n_steps = disc.n_modes, disc.tau, disc.n_steps
     lam_s = spectral.eigenvalues(n_modes) ** params.s
@@ -242,34 +237,47 @@ def _advance(params: ModelParams, disc: Discretization, states: np.ndarray,
     denom = 1.0 / tau + weights[0] * lam_s
     amp = np.arange(1, n_modes + 1, dtype=float) ** (0.5 * params.m)
     f = params.f
-    batch = increments is None
-    rows = states if batch else states[1:]    # row n-1: u^n
+    rows = states[1:]                         # row n-1: u^n
     # the noise forcing amp * inc / tau, rounded as a per-step product is
-    np.multiply(amp, rows if batch else increments, out=rows)
+    np.multiply(amp, rows, out=rows)
     np.divide(rows, tau, out=rows)
-    prev = np.zeros(states.shape[1:]) if batch else states[0]
-    batch_sums = _blocked_history_sums(states, weights) if batch else None
-    checked = 0                               # rows[:checked] are finite
+    batch_sums = _blocked_history_sums(rows, weights) if states.ndim == 3 else None
+    checked = 0                               # states[1:checked + 1] are finite
     with np.errstate(invalid="ignore"):       # steps after a bad one meet inf
         for n in range(1, n_steps + 1):
+            prev = states[n - 1]
             fterm = 0.0 if f is None else spectral.project(
                 f(spectral.synthesize(prev, 2 * n_modes)), n_modes)
-            if batch:
-                _solve(prev, next(batch_sums), lam_s, tau, denom, fterm, rows[n - 1],
-                       out=rows[n - 1])
+            if batch_sums is None:
+                states[n] = step(states[:n], weights, lam_s, tau, fterm, states[n])
             else:
-                rows[n - 1] = step(states[:n], weights, lam_s, tau, fterm, rows[n - 1])
-            prev = rows[n - 1]
+                _solve(prev, next(batch_sums), lam_s, tau, denom, fterm, states[n],
+                       out=states[n])
             if n % _BLOCK == 0 or n == n_steps:
-                _check_finite(rows[checked:n], checked + 1)
+                _check_finite(states[checked + 1:n + 1], checked + 1)
                 checked = n
     return states
 
 
-def _is_view(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether ``a`` and ``b``, of one shape, address the same elements."""
-    return a.ctypes.data == b.ctypes.data and all(
-        sa == sb for sa, sb, n in zip(a.strides, b.strides, a.shape) if n > 1)
+def _states(increments: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """The buffer a run steps in: ``out``, or a new array, with the time-major
+    ``increments`` copied into rows 1.. and row 0 set to u^0 = 0.
+
+    ``out`` must be a writeable C-contiguous float64 array with one row
+    more than ``increments``.  The copy is right under any overlap of the
+    two, and costs nothing when ``increments`` is ``out[1:]`` itself.
+    """
+    shape = (increments.shape[0] + 1,) + increments.shape[1:]
+    if out is None:
+        out = np.empty(shape)
+    elif not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == float
+              and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writeable C-contiguous float64 array shaped "
+                         f"{shape}, got {getattr(out, 'dtype', type(out).__name__)} "
+                         f"{np.shape(out)}")
+    np.copyto(out[1:], increments)
+    out[0] = 0.0
+    return out
 
 
 def run_trajectory(params: ModelParams, disc: Discretization,
@@ -279,52 +287,40 @@ def run_trajectory(params: ModelParams, disc: Discretization,
     ``increments`` is the (L, N) array of raw fGn increments for modes
     1..N (spectral amplitudes sqrt(k^m) are applied here, not by the
     sampler).  states[0] is the zero initial condition.  The states are a
-    new array, or ``out``, a float64 (L+1, N) array that is overwritten and
-    returned.  ``increments`` is left as it is unless it is ``out[1:]``,
-    which the run steps in place, so the path needs no second array; any
-    other overlap of the two raises a ValueError.
+    new array, or ``out``, a writeable C-contiguous float64 (L+1, N) array
+    that is overwritten and returned.  ``increments`` is left as it is
+    unless it overlaps ``out``; as ``out[1:]`` itself, the path steps in
+    its own draw and needs no second array.
     """
     increments = np.asarray(increments, dtype=float)
-    shape = (disc.n_steps + 1, disc.n_modes)
     if increments.shape != (disc.n_steps, disc.n_modes):
         raise ValueError(f"increments shaped {increments.shape}, "
                          f"expected ({disc.n_steps}, {disc.n_modes})")
-    if out is None:
-        return _advance(params, disc, np.zeros(shape), increments)
-    if not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != float:
-        raise ValueError(f"out must be a float64 array shaped {shape}, got "
-                         f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}")
-    if np.shares_memory(out, increments) and not _is_view(increments, out[1:]):
-        raise ValueError("increments overlap out other than as out[1:]")
-    out[0] = 0.0
-    return _advance(params, disc, out, increments)
+    return _advance(params, disc, _states(increments, out))
 
 
 def run_ensemble(params: ModelParams, disc: Discretization, increments: np.ndarray,
-                 *, overwrite_increments: bool = False) -> np.ndarray:
+                 *, out: np.ndarray | None = None) -> np.ndarray:
     """Advance a batch of trajectories; returns final coefficients (n_traj, N).
 
     ``increments`` is (n_traj, L, N).  Each path follows ``run_trajectory``'s
     scheme, but the batch sums its history in blocks of GEMMs and gemvs
     (``_blocked_history_sums``): a path equals its ``run_trajectory`` run
     to rounding, its bits can change with the batch width, and they do
-    not change with the BLAS thread count.  The batch steps in a
-    C-contiguous time-major (L, n_traj, N) buffer that holds the
-    increments on entry and the states u^1..u^L on return.  By default
-    that is a fresh copy, and ``increments`` is left as it is.  With
-    ``overwrite_increments=True`` it is the caller's own storage when that
-    is time-major and writeable, as ``fbm.mode_increments`` returns it,
-    and then holds the states afterwards; it is a copy otherwise.
-    The result is a copy that owns its memory, not a view of the states,
-    so a fresh buffer is freed when this returns.
+    not change with the BLAS thread count.  The batch steps in a new
+    time-major (L+1, n_traj, N) array, or in ``out``, a writeable
+    C-contiguous float64 array of that shape, which holds u^0..u^L on
+    return.  ``increments`` is left as it is unless it overlaps ``out``;
+    as the transposed view of ``out[1:]``, which ``fbm.mode_increments``
+    returns when it draws into ``out[1:]``, the batch steps in its own
+    draw.  The result is a copy that owns its memory, not a view of the
+    states, so a new array is freed when this returns.
     """
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 3 or increments.shape[1:] != (disc.n_steps, disc.n_modes):
         raise ValueError(f"increments shaped {increments.shape}, "
                          f"expected (n_traj, {disc.n_steps}, {disc.n_modes})")
-    time_major = np.moveaxis(increments, 1, 0)
-    states = (np.require(time_major, requirements="CW") if overwrite_increments
-              else np.array(time_major, order="C"))
+    states = _states(np.moveaxis(increments, 1, 0), out)
     return _advance(params, disc, states)[-1].copy()
 
 

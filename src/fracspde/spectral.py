@@ -31,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "eigenvalues",
-    "grid_nodes",
     "project",
     "synthesize",
 ]
@@ -57,18 +56,11 @@ def eigenvalues(n_modes: int) -> np.ndarray:
     return (np.arange(1, n_modes + 1) * math.pi) ** 2
 
 
-def grid_nodes(n_points: int) -> np.ndarray:
-    """Interior nodes x_j = j/(M+1), j = 1..M."""
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
-    return np.arange(1, n_points + 1) / (n_points + 1.0)
-
-
 def project(grid_values: np.ndarray, n_modes: int) -> np.ndarray:
     """Sine coefficients (u, phi_k), k = 1..N, of grid samples of u.
 
-    ``grid_values`` holds samples on the M interior nodes of
-    :func:`grid_nodes` along the last axis.  The quadrature has the
+    ``grid_values`` holds samples on the M interior nodes x_j = j/(M+1)
+    along the last axis.  The quadrature has the
     uniform weight 1/(M+1); it reproduces exact L^2 inner products for u
     in span{phi_1..phi_M}.
 

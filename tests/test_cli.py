@@ -257,14 +257,24 @@ def test_trajectory_calls_every_benchmark_span_through_its_module(tmp_path, monk
         assert calls[span] >= 1, span
 
 
-def test_space_study_calls_every_benchmark_span_through_its_module(tmp_path, monkeypatch):
-    cfg_path = _write_tiny_config(tmp_path, axis="space", levels="2,4", fixed_other=16)
+def _assert_study_calls_every_benchmark_span(tmp_path, monkeypatch, axis):
+    cfg_path = _write_tiny_config(tmp_path, axis=axis, levels="2,4", fixed_other=16)
     calls = _count_span_calls(monkeypatch)
     assert cli.main(["study", "--config", str(cfg_path), "--out",
                      str(tmp_path / "o"), "--threads", "1"]) == 0
     for span in ("cli.run_convergence_study", "experiments.run_ensemble",
-                 "experiments.pathwise_error"):
+                 "experiments.pathwise_error", "fbm.mode_increments",
+                 "fbm.sample_fbm_circulant"):
         assert calls[span] >= 1, span
+
+
+# the axes coarsen the draw differently: summed steps or dropped modes
+def test_time_study_calls_every_benchmark_span_through_its_module(tmp_path, monkeypatch):
+    _assert_study_calls_every_benchmark_span(tmp_path, monkeypatch, "time")
+
+
+def test_space_study_calls_every_benchmark_span_through_its_module(tmp_path, monkeypatch):
+    _assert_study_calls_every_benchmark_span(tmp_path, monkeypatch, "space")
 
 
 @pytest.mark.parametrize("command", ["study", "trajectory"])

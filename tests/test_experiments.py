@@ -238,10 +238,28 @@ def test_chunk_errors_match_hand_coupled_levels(axis, fixed_other):
     assert np.array_equal(got, expected)
 
 
+def test_one_step_one_path_space_chunk_matches_hand_coupled_levels():
+    # with L=1 and one path, a coarse level's view of the draw is
+    # C-contiguous; it is still only read, never stepped in, so the levels
+    # after it see the draw's own increments
+    cfg = _config(axis="space", levels=(2, 4), fixed_other=1, n_traj=26, hurst=0.3)
+    last_chunk = range(25, 26)
+    draw = fbm.mode_increments(cfg.hurst, cfg.t_final, 1, cfg.seed, 8, last_chunk)
+    assert draw[:, :, :2].flags.c_contiguous
+    finals = [solver.run_ensemble(cfg, solver.Discretization(level, 1, cfg.t_final),
+                                  draw[:, :, :level]) for level in (2, 4, 8)]
+    expected = np.array([pathwise_error(a, b) ** 2
+                         for a, b in zip(finals, finals[1:])])
+    got = experiments._chunk_squared_errors(cfg, last_chunk)
+    assert np.array_equal(got, expected)
+
 
 def test_zero_noise_gives_empty_rates(monkeypatch):
-    def no_noise(hurst, tau, n_steps, seed, n_modes, trajectories):
-        return np.zeros((len(trajectories), n_steps, n_modes))
+    def no_noise(hurst, tau, n_steps, seed, n_modes, trajectories, *, out=None):
+        if out is None:
+            out = np.empty((n_steps, len(trajectories), n_modes))
+        out[...] = 0.0
+        return out.transpose(1, 0, 2)
 
     monkeypatch.setattr(experiments.fbm, "mode_increments", no_noise)
     res = run_convergence_study(_config())

@@ -94,18 +94,20 @@ def test_time_coarsening_sums_land_time_major():
 
 
 def test_overwrite_steps_in_the_draw_without_a_second_array():
+    # out= the buffer the draw fills: the ensemble overwrites its own draw
     params = ModelParams(alpha=0.3, s=0.7, hurst=0.8, m=-1.0)
     disc = Discretization(n_modes=32, n_steps=256, tau=0.01 / 256)
-    inc = fbm.mode_increments(0.8, disc.tau, 256, 3, 32, range(25))
+    states = np.empty((257, 25, 32))
+    inc = fbm.mode_increments(0.8, disc.tau, 256, 3, 32, range(25), out=states[1:])
     run_ensemble(params, disc, inc[:2])                 # fill the sine-matrix cache
     tracemalloc.start()
     try:
-        final = run_ensemble(params, disc, inc, overwrite_increments=True)
-        peak = tracemalloc.get_traced_memory()[1]       # beyond the draw
+        final = run_ensemble(params, disc, inc, out=states)
+        peak = tracemalloc.get_traced_memory()[1]       # beyond the buffer
     finally:
         tracemalloc.stop()
-    assert peak < 0.25 * inc.nbytes, peak / inc.nbytes
-    assert np.array_equal(inc[:, -1], final)
+    assert peak < 0.25 * states.nbytes, peak / states.nbytes
+    assert np.array_equal(states[-1], final)
 
 
 def _mode_increments_peak_beyond_output(n_modes):

@@ -167,20 +167,25 @@ def test_default_runs_leave_the_increments_unchanged():
 
 
 def test_overwrite_steps_in_a_time_major_draw_and_keeps_the_bits():
+    # out= the buffer the draw fills: the ensemble overwrites its own draw
     params = _params()
     disc = Discretization(n_modes=6, n_steps=40, tau=0.01 / 40)
-    inc = fbm.mode_increments(params.hurst, disc.tau, 40, 5, 6, range(3))
-    default = solver.run_ensemble(params, disc, inc)
-    overwritten = solver.run_ensemble(params, disc, inc, overwrite_increments=True)
-    assert np.array_equal(overwritten, default)
-    # the draw now holds u^1..u^L, the last time level being the finals
-    assert np.array_equal(inc[:, -1], overwritten)
+    default = solver.run_ensemble(
+        params, disc, fbm.mode_increments(params.hurst, disc.tau, 40, 5, 6, range(3)))
+    # a study chunk's layout: the draw fills rows 1..L of the stepping buffer
+    states = np.full((41, 3, 6), np.nan)
+    inc = fbm.mode_increments(params.hurst, disc.tau, 40, 5, 6, range(3), out=states[1:])
+    final = solver.run_ensemble(params, disc, inc, out=states)
+    assert np.array_equal(final, default)
+    # the buffer now holds u^0..u^L, the last time level being the finals
+    assert not states[0].any()
+    assert np.array_equal(states[-1], final)
 
 
 @pytest.mark.parametrize("layout", ["trajectory-major", "read-only"])
 def test_overwrite_copies_an_array_it_cannot_step_in_and_keeps_the_bits(layout):
     # a C-ordered (n_traj, L, N) array is not time-major, and a read-only
-    # draw cannot be written, so the batch steps in a copy of either
+    # draw cannot be written; either is copied into the out it steps in
     params = _params()
     disc = Discretization(n_modes=6, n_steps=40, tau=0.01 / 40)
     if layout == "read-only":
@@ -190,8 +195,10 @@ def test_overwrite_copies_an_array_it_cannot_step_in_and_keeps_the_bits(layout):
         inc = 1e-3 * np.random.default_rng(8).standard_normal((3, 40, 6))
     before = inc.tobytes()
     default = solver.run_ensemble(params, disc, inc)
-    overwritten = solver.run_ensemble(params, disc, inc, overwrite_increments=True)
-    assert np.array_equal(overwritten, default)
+    states = np.full((41, 3, 6), np.nan)
+    final = solver.run_ensemble(params, disc, inc, out=states)
+    assert np.array_equal(final, default)
+    assert np.array_equal(states[-1], final)
     assert inc.tobytes() == before
 
 
@@ -383,23 +390,38 @@ def test_run_trajectory_steps_in_out_aliased_disjoint_or_its_own():
 
 @pytest.mark.parametrize("overlap", [lambda out: out[:-1], lambda out: out[1:, ::-1],
                                      lambda out: out[::-1][:-1]])
-def test_run_trajectory_refuses_increments_overlapping_out_otherwise(overlap):
-    # stepping would read increments that earlier steps had overwritten
+def test_run_trajectory_steps_overlapping_increments_as_a_disjoint_run(overlap):
+    # the increments are copied into rows 1.. of out before any step
     params = _params()
     disc = Discretization(n_modes=4, n_steps=8, tau=0.01 / 8)
     out = np.random.default_rng(3).standard_normal((9, 4))
-    before = out.tobytes()
-    with pytest.raises(ValueError, match="^increments overlap out other than as out"):
-        solver.run_trajectory(params, disc, overlap(out), out=out)
-    assert out.tobytes() == before
+    disjoint = solver.run_trajectory(params, disc, overlap(out).copy())
+    assert solver.run_trajectory(params, disc, overlap(out), out=out) is out
+    assert np.array_equal(out, disjoint)
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 @pytest.mark.parametrize("out", [np.zeros((8, 4)), np.zeros((9, 4), dtype=np.float32),
-                                 [[0.0] * 4] * 9])
+                                 [[0.0] * 4] * 9, _read_only(np.zeros((9, 4)))])
 def test_run_trajectory_names_an_out_of_the_wrong_shape_or_dtype(out):
     disc = Discretization(n_modes=4, n_steps=8, tau=0.01 / 8)
-    with pytest.raises(ValueError, match=r"^out must be a float64 array shaped \(9, 4\)"):
+    with pytest.raises(ValueError, match=r"^out must be a writeable C-contiguous float64 "
+                                         r"array shaped \(9, 4\)"):
         solver.run_trajectory(_params(), disc, np.zeros((8, 4)), out=out)
+
+
+@pytest.mark.parametrize("out", [np.zeros((9, 4, 3)), np.zeros((9, 3, 4), order="F"),
+                                 np.zeros((9, 3, 4))[:, :, ::-1]])
+def test_run_ensemble_names_an_out_it_cannot_step_in(out):
+    # the blocked history sums read the states as C-contiguous rows
+    disc = Discretization(n_modes=4, n_steps=8, tau=0.01 / 8)
+    with pytest.raises(ValueError, match=r"^out must be a writeable C-contiguous float64 "
+                                         r"array shaped \(9, 3, 4\)"):
+        solver.run_ensemble(_params(), disc, np.zeros((3, 8, 4)), out=out)
 
 
 # a step blows up where its increment is infinite: at step 1, mid-block, at

@@ -26,11 +26,6 @@ def test_eigenfunction_values():
         np.testing.assert_allclose(b @ b.T / (m + 1), np.eye(n), rtol=0, atol=1e-12)
 
 
-def test_grid_nodes():
-    x = spectral.grid_nodes(7)
-    np.testing.assert_allclose(x, np.arange(1, 8) / 8.0, rtol=0, atol=0)
-
-
 def test_project_synthesize_round_trip():
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(16)
@@ -42,7 +37,7 @@ def test_project_synthesize_round_trip():
 def test_project_polynomial_coefficients():
     # u(x) = x(1-x) has coefficients 4*sqrt(2)/(k pi)^3 for odd k, 0 for even
     m = 2047
-    x = spectral.grid_nodes(m)
+    x = np.arange(1, m + 1) / (m + 1.0)          # the interior nodes j/(M+1)
     coeffs = spectral.project(x * (1 - x), 12)
     k = np.arange(1, 13)
     expected = np.where(k % 2 == 1, 4 * np.sqrt(2.0) / (k * np.pi) ** 3, 0.0)

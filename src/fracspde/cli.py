@@ -134,9 +134,9 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     disc = config.discretization(config.levels[-1])
     # the draw fills rows 1..L of the states, and the path steps there
     states = np.empty((disc.n_steps + 1, disc.n_modes))
-    increments = fbm.mode_increments(config.hurst, disc.tau, disc.n_steps, config.seed,
-                                     disc.n_modes, [0], out=states[1:, None])
-    solver.run_trajectory(config, disc, increments[0], out=states)
+    fbm.mode_increments(config.hurst, disc.tau, disc.n_steps, config.seed,
+                        disc.n_modes, [0], out=states[1:, None])
+    solver.run_trajectory(config, disc, states[1:], out=states)
     solver.dump_trajectory(out_dir / "trajectory.bin", states, config, disc,
                            config.seed)
     _write_manifest(out_dir, config, "trajectory")
@@ -176,7 +176,7 @@ def _selftest_fbm_keys() -> str:
             raise AssertionError(f"seed {seed}, mode {mode}, trajectory {traj}: "
                                  f"key {got.tolist()} != SeedSequence {want.tolist()}")
     # and a re-keyed generator starts where a fresh Philox stream does
-    drawn = fbm.mode_increments(0.8, 1.0, 4, 7, 3, [12])[0, :, 2]
+    drawn = fbm.mode_increments(0.8, 1.0, 4, 7, 3, [12])[:, 0, 2]
     fresh = fbm.sample_fbm_circulant(0.8, 1.0, 4, fbm._stream(7, 3, 12))[0]
     if not np.array_equal(drawn, fresh):
         raise AssertionError("re-keyed draws differ from the (7, 3, 12) stream's")

@@ -6,7 +6,8 @@ with step tau uses the coefficients of ((1-z)/tau)^a:
     ((1-z)/tau)^a = sum_{j>=0} d_j z^j,
     d_j = tau^(-a) * (-1)^j * binom(a, j).
 
-``cq_weights`` computes them by the stable two-term recurrence;
+``cq_weights`` computes them by the stable two-term recurrence, as one
+cumulative product;
 ``apply_cq_history`` is ``solver.step``'s history sum, for one path or a
 batch of them (a run of a batch takes faster, width-dependent blocked
 GEMMs and gemvs in ``solver``).
@@ -45,10 +46,10 @@ def cq_weights(a: float, tau: float, n_weights: int) -> np.ndarray:
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if n_weights < 1:
         raise ValueError(f"n_weights must be >= 1, got {n_weights}")
-    w = np.empty(n_weights)
-    w[0] = 1.0
-    for j in range(1, n_weights):
-        w[j] = w[j - 1] * ((j - 1 - a) / j)
+    j = np.arange(1, n_weights)
+    w = np.ones(n_weights)
+    # the recurrence's products, in its order: accumulate multiplies in turn
+    np.cumprod((j - 1 - a) / j, out=w[1:])
     return w * tau ** (-a)
 
 

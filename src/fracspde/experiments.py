@@ -244,21 +244,20 @@ def _chunk_squared_errors(config: ExperimentConfig, trajectories) -> np.ndarray:
     fine = config.discretization(all_levels[-1])
     n_traj = len(trajectories)
     draw = np.empty((fine.n_steps + 1, n_traj, fine.n_modes))
-    increments = fbm.mode_increments(config.hurst, fine.tau, fine.n_steps,
-                                     config.seed, fine.n_modes, trajectories,
-                                     out=draw[1:])
+    fbm.mode_increments(config.hurst, fine.tau, fine.n_steps, config.seed,
+                        fine.n_modes, trajectories, out=draw[1:])
     out = np.empty((len(config.levels), n_traj))
     previous = None
     for i, level in enumerate(all_levels):
         disc = config.discretization(level)
-        coarse = increments[:, :, :disc.n_modes]
+        coarse = draw[1:, :, :disc.n_modes]
         # the last level's buffer goes before this level's is made
         states = draw if level == all_levels[-1] else None
         group = fine.n_steps // disc.n_steps
         if group > 1:
             states = np.empty((disc.n_steps + 1, n_traj, disc.n_modes))
-            coarse = coarse.reshape(n_traj, disc.n_steps, group, disc.n_modes).sum(
-                axis=2, out=np.moveaxis(states[1:], 0, 1))
+            coarse = coarse.reshape(disc.n_steps, group, n_traj, disc.n_modes).sum(
+                axis=1, out=states[1:])
         try:
             final = run_ensemble(config, disc, coarse, out=states)
         except SolverError as exc:

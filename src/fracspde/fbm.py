@@ -12,9 +12,7 @@ H in (0,1):
   Gaussian noise is nonnegative definite for every H, so a materially
   negative eigenvalue signals an implementation bug and raises.  Each
   call transforms all of its rows with one inverse FFT; the rows come
-  from one Generator or from a sequence of Generators, one per row.  The
-  square roots of the circulant eigenvalues are computed once per call,
-  or taken from the caller, who may share them between calls.
+  from one Generator or from a sequence of Generators, one per row.
 
 Ensembles for the noise expansion W^H_Q = sum_k sqrt(Lambda_k) phi_k W^H_k
 are generated by :func:`mode_increments`: one counter-based RNG stream per
@@ -25,10 +23,10 @@ subset-stable (mode k, trajectory i always sees the same path regardless
 of how many other modes or trajectories are generated).  Each mode is one
 sampler call over the trajectories' streams.  All modes share the
 eigenvalue roots that the call computes once, and the normals and complex
-spectrum buffers that it allocates once and lends to its sampler calls,
-so their pages are faulted in once per call, not once per mode.  Every
-stream still consumes its normals in the fixed per-row layout, so the
-batching does not change a single draw.
+spectrum buffers that it allocates once, so their pages are faulted in
+once per call, not once per mode; each mode's streams object carries
+them to its sampler call.  Every stream still consumes its normals in the
+fixed per-row layout, so the batching does not change a single draw.
 
 A stream is the Philox generator that ``SeedSequence`` keys; everything
 else in its state starts at zero.  So :func:`mode_increments` computes
@@ -42,7 +40,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from collections.abc import Sequence
 
 import numpy as np
@@ -115,21 +112,11 @@ def _normals(rng: np.random.Generator | Sequence[np.random.Generator],
         gen.standard_normal(out=row)
 
 
-#: the sampler buffers :func:`mode_increments` lends, per thread, to the
-#: :func:`sample_fbm_circulant` calls it makes; lent rather than passed, so
-#: the public sampler keeps its signature and each mode still calls it
-_lent = threading.local()
-
-
 def _sampler_buffers(rows: int, n_steps: int) -> tuple:
-    """The normals and the complex spectrum a sampler call fills for
-    ``rows`` rows of ``n_steps`` increments: the pair lent by
-    :func:`mode_increments` if it has that shape, else a new pair."""
+    """New normals and complex spectrum buffers for a sampler call over
+    ``rows`` rows of ``n_steps`` increments."""
     width = 2 * n_steps if n_steps > 1 else 1
-    buffers = getattr(_lent, "buffers", None)
-    if buffers is None or buffers[0].shape != (rows, width):
-        buffers = np.empty((rows, width)), np.empty((rows, width), dtype=complex)
-    return buffers
+    return np.empty((rows, width)), np.empty((rows, width), dtype=complex)
 
 
 def _circulant_root(h: float, tau: float, n_steps: int) -> np.ndarray:
@@ -151,8 +138,7 @@ def _circulant_root(h: float, tau: float, n_steps: int) -> np.ndarray:
 
 def sample_fbm_circulant(h: float, tau: float, n_steps: int,
                          rng: np.random.Generator | Sequence[np.random.Generator],
-                         n_paths: int = 1, *,
-                         root: np.ndarray | None = None) -> np.ndarray:
+                         n_paths: int = 1) -> np.ndarray:
     """Davies–Harte fGn sampler; returns (rows, L).
 
     ``rng`` is either one Generator, which supplies all ``n_paths`` rows,
@@ -165,25 +151,23 @@ def sample_fbm_circulant(h: float, tau: float, n_steps: int,
     2L whose eigenvalues (the real FFT of the first row) are provably
     nonnegative for fractional Gaussian noise; tiny negative rounding
     residue is clamped, anything materially negative raises.  The square
-    roots of the eigenvalues are computed once per call, or once by the
-    caller for many calls with the same (h, tau, L) and passed as
-    ``root`` (:func:`mode_increments` does this), and one inverse FFT
-    transforms all rows.  The normals and the spectrum are assembled in
-    buffers that :func:`mode_increments` lends to its calls, or that the
-    call allocates; the returned rows are always a new array.
+    roots of the eigenvalues are computed once per call, and one inverse
+    FFT transforms all rows; the normals and the spectrum are assembled in
+    buffers the call allocates.  A :func:`mode_increments` call instead
+    shares one set of roots and buffers between its modes, through each
+    mode's streams object.  The returned rows are always a new array.
 
     Draw layout (fixed; part of the reproducibility contract): for each
     row, 2L standard normals are consumed as
     [xi_0, xi_L, Re xi_1..Re xi_{L-1}, Im xi_1..Im xi_{L-1}].
     For L = 1 each row consumes a single normal.
     """
-    if root is None:
+    if isinstance(rng, _Rekeyed):
+        root, (z, xi) = rng.root, rng.buffers
+    else:
         root = _circulant_root(h, tau, n_steps)
-    elif n_steps < 1 or np.shape(root) != (2 * n_steps if n_steps > 1 else 1,):
-        raise ValueError(f"root for L={n_steps} must be the circulant's eigenvalue "
-                         f"roots, got shape {np.shape(root)}")
-    rows = n_paths if isinstance(rng, np.random.Generator) else len(rng)
-    z, xi = _sampler_buffers(rows, n_steps)
+        rows = n_paths if isinstance(rng, np.random.Generator) else len(rng)
+        z, xi = _sampler_buffers(rows, n_steps)
     _normals(rng, n_paths, z)
     if n_steps == 1:
         return root[0] * z
@@ -280,10 +264,15 @@ def _philox_keys(master_seed: int, modes: Sequence[int],
 class _Rekeyed:
     """The streams ``Generator(Philox(key=k))`` for each ``k`` in ``keys``,
     in order, as one Generator re-keyed in place: each is valid until the
-    next is taken, which suits one pass over the rows in :func:`_normals`."""
+    next is taken, which suits one pass over the rows in :func:`_normals`.
+    It also carries the circulant ``root`` and the sampler ``buffers`` of
+    its :func:`mode_increments` call, which :func:`sample_fbm_circulant`
+    uses in place of its own."""
 
-    def __init__(self, gen: np.random.Generator, keys: list) -> None:
+    def __init__(self, gen: np.random.Generator, keys: list, root: np.ndarray,
+                 buffers: tuple) -> None:
         self._gen, self._keys = gen, keys
+        self.root, self.buffers = root, buffers
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -315,29 +304,27 @@ def mode_increments(h: float, tau: float, n_steps: int, master_seed: int,
                     out: np.ndarray | None = None) -> np.ndarray:
     """fGn increments for modes 1..n_modes and the given trajectory indices.
 
-    Returns a transposed view of shape (len(trajectories), n_steps,
-    n_modes); entry [i, n, k-1] is dW^H_k over the n-th step for trajectory
+    Returns a time-major array of shape (n_steps, len(trajectories),
+    n_modes); entry [n, i, k-1] is dW^H_k over the n-th step for trajectory
     ``trajectories[i]``.  Increments are *unit-amplitude*: the noise
     spectral weights sqrt(Lambda_k) are applied by the solver, so the same
     ensemble can be reused across different m.
 
-    Entry [i, :, k-1] is drawn from the stream ``_stream(master_seed, k,
+    Entry [:, i, k-1] is drawn from the stream ``_stream(master_seed, k,
     trajectories[i])``, bit for bit; the seed and the trajectory indices
     must be non-negative integers.  All the streams' Philox keys are
     computed in one vectorised pass (:func:`_philox_keys`), and one
     Philox generator, re-keyed per row, draws them.  One sampler call per
-    mode draws all trajectories of that mode; the circulant eigenvalue
-    roots are computed once per call and passed to each, and the
-    sampler's buffers are allocated once per call and lent to each.
+    mode draws all trajectories of that mode, and its block is written
+    into the result transposed, once.  The circulant eigenvalue roots are
+    computed once per call, and the sampler's buffers allocated once per
+    call; each mode's streams object carries them to its sampler call.
 
-    The storage is time-major, (n_steps, len(trajectories), n_modes), and
-    each mode's block is written into it transposed, once; the result is
-    the transposed view of it.  So ``np.moveaxis(result, 1, 0)`` is a
-    C-contiguous (L, n_traj, N) array without a copy, one time level per
-    row, which is the order the stepper reads.  The storage is a new
-    array, or ``out``, a float64 array of that time-major shape that the
-    draw overwrites.  The trajectory command and a study chunk pass rows
-    1..L of the stepping buffer of ``solver.run_trajectory`` or
+    Time-major is the order the stepper reads: one time level per row, as
+    ``solver.run_ensemble`` takes its increments.  The result is a new
+    array, or ``out`` itself, a writeable float64 array of that shape that
+    the draw overwrites.  The trajectory command and a study chunk pass
+    rows 1..L of the stepping buffer of ``solver.run_trajectory`` or
     ``solver.run_ensemble``, so the draw needs no array of its own.
     """
     master_seed = _index("master_seed", master_seed)
@@ -345,18 +332,15 @@ def mode_increments(h: float, tau: float, n_steps: int, master_seed: int,
     shape = (n_steps, len(trajectories), n_modes)
     if out is None:
         out = np.empty(shape)
-    elif not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != float:
-        raise ValueError(f"out must be a float64 array shaped {shape}, got "
+    elif not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == float
+              and out.flags.writeable):
+        raise ValueError(f"out must be a writeable float64 array shaped {shape}, got "
                          f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}")
     keys = _philox_keys(master_seed, range(1, n_modes + 1), trajectories)
     gen = np.random.Generator(np.random.Philox(0))
     root = _circulant_root(h, tau, n_steps)
-    _lent.buffers = _sampler_buffers(len(trajectories), n_steps)
-    try:
-        for k in range(1, n_modes + 1):
-            streams = _Rekeyed(gen, keys[k - 1].tolist())
-            out[:, :, k - 1] = sample_fbm_circulant(h, tau, n_steps, streams,
-                                                    root=root).T
-    finally:
-        _lent.buffers = None
-    return out.transpose(1, 0, 2)
+    buffers = _sampler_buffers(len(trajectories), n_steps)
+    for k in range(1, n_modes + 1):
+        streams = _Rekeyed(gen, keys[k - 1].tolist(), root, buffers)
+        out[:, :, k - 1] = sample_fbm_circulant(h, tau, n_steps, streams).T
+    return out

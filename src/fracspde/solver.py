@@ -303,25 +303,24 @@ def run_ensemble(params: ModelParams, disc: Discretization, increments: np.ndarr
                  *, out: np.ndarray | None = None) -> np.ndarray:
     """Advance a batch of trajectories; returns final coefficients (n_traj, N).
 
-    ``increments`` is (n_traj, L, N).  Each path follows ``run_trajectory``'s
-    scheme, but the batch sums its history in blocks of GEMMs and gemvs
+    ``increments`` is time-major, (L, n_traj, N), as ``fbm.mode_increments``
+    draws it.  Each path follows ``run_trajectory``'s scheme, but the batch
+    sums its history in blocks of GEMMs and gemvs
     (``_blocked_history_sums``): a path equals its ``run_trajectory`` run
     to rounding, its bits can change with the batch width, and they do
     not change with the BLAS thread count.  The batch steps in a new
-    time-major (L+1, n_traj, N) array, or in ``out``, a writeable
-    C-contiguous float64 array of that shape, which holds u^0..u^L on
-    return.  ``increments`` is left as it is unless it overlaps ``out``;
-    as the transposed view of ``out[1:]``, which ``fbm.mode_increments``
-    returns when it draws into ``out[1:]``, the batch steps in its own
-    draw.  The result is a copy that owns its memory, not a view of the
-    states, so a new array is freed when this returns.
+    (L+1, n_traj, N) array, or in ``out``, a writeable C-contiguous float64
+    array of that shape, which holds u^0..u^L on return.  ``increments``
+    is left as it is unless it overlaps ``out``; as ``out[1:]`` itself,
+    the batch steps in its own draw.  The result is a copy that owns its
+    memory, not a view of the states, so a new array is freed when this
+    returns.
     """
     increments = np.asarray(increments, dtype=float)
-    if increments.ndim != 3 or increments.shape[1:] != (disc.n_steps, disc.n_modes):
+    if increments.ndim != 3 or increments.shape[::2] != (disc.n_steps, disc.n_modes):
         raise ValueError(f"increments shaped {increments.shape}, "
-                         f"expected (n_traj, {disc.n_steps}, {disc.n_modes})")
-    states = _states(np.moveaxis(increments, 1, 0), out)
-    return _advance(params, disc, states)[-1].copy()
+                         f"expected ({disc.n_steps}, n_traj, {disc.n_modes})")
+    return _advance(params, disc, _states(increments, out))[-1].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def test_ensemble_rows_match_trajectory_runs(nonlinearity, n_steps):
     inc = fbm.mode_increments(params.hurst, disc.tau, n_steps, 3, 6, range(4))
     batch = solver.run_ensemble(params, disc, inc)
     for i in range(4):
-        single = solver.run_trajectory(params, disc, inc[i])[-1]
+        single = solver.run_trajectory(params, disc, inc[:, i])[-1]
         np.testing.assert_allclose(batch[i], single, rtol=1e-13, atol=0.0)
 
 
@@ -75,7 +75,7 @@ def test_linear_ensemble_matches_dense_triangular_oracle(n_steps):
     weights = cq.cq_weights(1.0 - params.alpha, tau, n_steps)
     lam_s = spectral.eigenvalues(n_modes) ** params.s
     amp = np.arange(1, n_modes + 1, dtype=float) ** (0.5 * params.m)
-    inc = np.random.default_rng(n_steps).standard_normal((n_traj, n_steps, n_modes))
+    inc = np.random.default_rng(n_steps).standard_normal((n_steps, n_traj, n_modes))
     batch = solver.run_ensemble(params, Discretization(n_modes, n_steps, tau), inc)
 
     lags = np.subtract.outer(np.arange(n_steps), np.arange(n_steps))
@@ -83,7 +83,7 @@ def test_linear_ensemble_matches_dense_triangular_oracle(n_steps):
         a_mat = np.where(lags >= 0, lam_s[k] * weights[np.clip(lags, 0, None)], 0.0)
         a_mat += np.diag(np.full(n_steps, 1.0 / tau))
         a_mat -= np.diag(np.full(n_steps - 1, 1.0 / tau), -1)
-        dense = solve_triangular(a_mat, (amp[k] * inc[:, :, k] / tau).T, lower=True)
+        dense = solve_triangular(a_mat, amp[k] * inc[:, :, k] / tau, lower=True)
         np.testing.assert_allclose(batch[:, k], dense[-1], rtol=1e-12)
 
 

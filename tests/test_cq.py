@@ -17,6 +17,16 @@ def test_leading_weights():
     assert w[2] == pytest.approx(-a * (1 - a) / 2 * tau ** -a, rel=1e-14)
 
 
+@pytest.mark.parametrize("a, tau, n", [(0.4, 0.05, 1), (0.4, 0.05, 2), (0.1, 1e-3, 65),
+                                       (0.5, 0.01 / 2048, 2049), (0.95, 3.7, 8193)])
+def test_weights_keep_the_bits_of_the_two_term_recurrence(a, tau, n):
+    # the recurrence written out, one product per weight in index order
+    w = [1.0]
+    for j in range(1, n):
+        w.append(w[-1] * ((j - 1 - a) / j))
+    assert np.array_equal(cq.cq_weights(a, tau, n), np.array(w) * tau ** (-a))
+
+
 def test_weights_match_binomial_closed_form():
     a, tau = 0.7, 1.0
     w = cq.cq_weights(a, tau, 16)

@@ -224,8 +224,8 @@ def test_chunk_errors_match_hand_coupled_levels(axis, fixed_other):
     for level in (2, 4, 8):
         if axis == "time":
             group = finest // level
-            increments = draw.reshape(len(trajectories), level, group,
-                                      fixed_other).sum(axis=2)
+            increments = draw.reshape(level, group, len(trajectories),
+                                      fixed_other).sum(axis=1)
             disc = solver.Discretization(fixed_other, level, t_final / level)
         else:
             increments = draw[:, :, :level]
@@ -259,7 +259,7 @@ def test_zero_noise_gives_empty_rates(monkeypatch):
         if out is None:
             out = np.empty((n_steps, len(trajectories), n_modes))
         out[...] = 0.0
-        return out.transpose(1, 0, 2)
+        return out
 
     monkeypatch.setattr(experiments.fbm, "mode_increments", no_noise)
     res = run_convergence_study(_config())

@@ -65,7 +65,7 @@ def test_zero_fixed_point():
 def test_rerun_is_bit_identical():
     params = _params()
     disc = Discretization(n_modes=8, n_steps=16, tau=0.01 / 16)
-    inc = fbm.mode_increments(params.hurst, disc.tau, 16, 5, 8, [0])[0]
+    inc = fbm.mode_increments(params.hurst, disc.tau, 16, 5, 8, [0])[:, 0]
     a = solver.run_trajectory(params, disc, inc)
     b = solver.run_trajectory(params, disc, inc)
     assert a.tobytes() == b.tobytes()
@@ -152,7 +152,7 @@ def test_ensemble_matches_trajectory_runs():
     inc = fbm.mode_increments(params.hurst, disc.tau, 20, 77, 10, range(4))
     batch = solver.run_ensemble(params, disc, inc)
     for i in range(4):
-        single = solver.run_trajectory(params, disc, inc[i])
+        single = solver.run_trajectory(params, disc, inc[:, i])
         np.testing.assert_allclose(batch[i], single[-1], atol=1e-15)
 
 
@@ -162,7 +162,7 @@ def test_default_runs_leave_the_increments_unchanged():
     inc = fbm.mode_increments(params.hurst, disc.tau, 40, 5, 6, range(3))
     before = inc.tobytes()
     solver.run_ensemble(params, disc, inc)
-    solver.run_trajectory(params, disc, inc[1])
+    solver.run_trajectory(params, disc, inc[:, 1])
     assert inc.tobytes() == before
 
 
@@ -184,15 +184,17 @@ def test_overwrite_steps_in_a_time_major_draw_and_keeps_the_bits():
 
 @pytest.mark.parametrize("layout", ["trajectory-major", "read-only"])
 def test_overwrite_copies_an_array_it_cannot_step_in_and_keeps_the_bits(layout):
-    # a C-ordered (n_traj, L, N) array is not time-major, and a read-only
-    # draw cannot be written; either is copied into the out it steps in
+    # a time-major view of C-ordered (n_traj, L, N) storage is not
+    # C-contiguous, and a read-only draw cannot be written; either is
+    # copied into the out it steps in
     params = _params()
     disc = Discretization(n_modes=6, n_steps=40, tau=0.01 / 40)
     if layout == "read-only":
         inc = fbm.mode_increments(params.hurst, disc.tau, 40, 5, 6, range(3))
         inc.setflags(write=False)
     else:
-        inc = 1e-3 * np.random.default_rng(8).standard_normal((3, 40, 6))
+        storage = 1e-3 * np.random.default_rng(8).standard_normal((3, 40, 6))
+        inc = storage.transpose(1, 0, 2)
     before = inc.tobytes()
     default = solver.run_ensemble(params, disc, inc)
     states = np.full((41, 3, 6), np.nan)
@@ -220,7 +222,7 @@ def test_overflow_raises_with_location():
         with pytest.raises(SolverError, match="level 1"):
             solver.run_trajectory(params, disc, bad)
         with pytest.raises(SolverError, match="level 1"):
-            solver.run_ensemble(params, disc, bad[None])
+            solver.run_ensemble(params, disc, bad[:, None])
 
 
 def test_single_path_error_locates_mode_and_level():
@@ -243,7 +245,7 @@ def test_run_trajectory_keeps_history_summation_order():
     n_steps, n_modes = 64, 8
     tau = 0.01 / n_steps
     disc = Discretization(n_modes, n_steps, tau)
-    inc = fbm.mode_increments(params.hurst, tau, n_steps, 4, n_modes, [0])[0]
+    inc = fbm.mode_increments(params.hurst, tau, n_steps, 4, n_modes, [0])[:, 0]
     lam_s = spectral.eigenvalues(n_modes) ** params.s
     weights = cq.cq_weights(1.0 - params.alpha, tau, n_steps)
     amp = 1.0 * np.arange(1, n_modes + 1, dtype=float) ** (0.5 * params.m)
@@ -265,13 +267,13 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         solver.run_trajectory(params, disc, np.zeros((5, 4)))
     with pytest.raises(ValueError):
-        solver.run_ensemble(params, disc, np.zeros((2, 6, 3)))
+        solver.run_ensemble(params, disc, np.zeros((6, 2, 3)))
 
 
 def test_trajectory_dump_round_trip(tmp_path):
     params = _params()
     disc = Discretization(n_modes=6, n_steps=12, tau=0.01 / 12)
-    inc = fbm.mode_increments(params.hurst, disc.tau, 12, 21, 6, [0])[0]
+    inc = fbm.mode_increments(params.hurst, disc.tau, 12, 21, 6, [0])[:, 0]
     states = solver.run_trajectory(params, disc, inc)
     path = tmp_path / "traj.bin"
     solver.dump_trajectory(path, states, params, disc, 21)
@@ -353,7 +355,7 @@ def test_ensemble_error_locates_trajectory_mode_and_level():
     params = _params(m=0.0)
     disc = Discretization(n_modes=4, n_steps=4, tau=0.001)
     bad = np.zeros((4, 4, 4))
-    bad[2, 1, 2] = 1e308       # trajectory 2, mode 3 overflows at time level 2
+    bad[1, 2, 2] = 1e308       # trajectory 2, mode 3 overflows at time level 2
     with np.errstate(over="ignore"):
         with pytest.raises(SolverError) as info:
             solver.run_ensemble(params, disc, bad)
@@ -371,10 +373,18 @@ def test_entry_points_reject_the_other_rank():
         solver.run_ensemble(params, disc, np.zeros((6, 4)))
 
 
+def test_run_ensemble_names_the_time_major_shape_of_a_trajectory_major_array():
+    # (n_traj, L, N) with n_traj != L; with n_traj == L it would pass unseen
+    disc = Discretization(n_modes=4, n_steps=8, tau=0.01 / 8)
+    with pytest.raises(ValueError, match=r"^increments shaped \(3, 8, 4\), "
+                                         r"expected \(8, n_traj, 4\)$"):
+        solver.run_ensemble(_params(), disc, np.zeros((3, 8, 4)))
+
+
 def test_run_trajectory_steps_in_out_aliased_disjoint_or_its_own():
     params = _params()
     disc = Discretization(n_modes=6, n_steps=40, tau=0.01 / 40)
-    inc = fbm.mode_increments(params.hurst, disc.tau, 40, 5, 6, [0])[0]
+    inc = fbm.mode_increments(params.hurst, disc.tau, 40, 5, 6, [0])[:, 0]
     before = inc.tobytes()
     default = solver.run_trajectory(params, disc, inc)
     disjoint = np.full((41, 6), np.nan)
@@ -384,7 +394,7 @@ def test_run_trajectory_steps_in_out_aliased_disjoint_or_its_own():
     # the trajectory command's layout: the draw fills rows 1..L of the states
     states = np.full((41, 6), np.nan)
     drawn = fbm.mode_increments(params.hurst, disc.tau, 40, 5, 6, [0], out=states[1:, None])
-    assert solver.run_trajectory(params, disc, drawn[0], out=states) is states
+    assert solver.run_trajectory(params, disc, drawn[:, 0], out=states) is states
     assert np.array_equal(states, default)
 
 
@@ -421,7 +431,7 @@ def test_run_ensemble_names_an_out_it_cannot_step_in(out):
     disc = Discretization(n_modes=4, n_steps=8, tau=0.01 / 8)
     with pytest.raises(ValueError, match=r"^out must be a writeable C-contiguous float64 "
                                          r"array shaped \(9, 3, 4\)"):
-        solver.run_ensemble(_params(), disc, np.zeros((3, 8, 4)), out=out)
+        solver.run_ensemble(_params(), disc, np.zeros((8, 3, 4)), out=out)
 
 
 # a step blows up where its increment is infinite: at step 1, mid-block, at
@@ -445,9 +455,9 @@ def test_single_path_block_check_names_the_first_bad_step(n_steps, level):
 @pytest.mark.parametrize("n_steps, level", _BLOW_UPS)
 def test_batch_block_check_names_the_first_bad_step(n_steps, level):
     disc = Discretization(n_modes=4, n_steps=n_steps, tau=0.01 / n_steps)
-    inc = 1e-3 * np.random.default_rng(level).standard_normal((4, n_steps, 4))
-    inc[2, level - 1, 2] = np.inf
-    inc[3, n_steps - 1, 0] = np.inf         # later in row order, so not named
+    inc = 1e-3 * np.random.default_rng(level).standard_normal((n_steps, 4, 4))
+    inc[level - 1, 2, 2] = np.inf
+    inc[n_steps - 1, 3, 0] = np.inf         # later in row order, so not named
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverError) as info:

@@ -11,8 +11,9 @@ H in (0,1):
   O(L log L); the production sampler.  The embedding of fractional
   Gaussian noise is nonnegative definite for every H, so a materially
   negative eigenvalue signals an implementation bug and raises.  Each
-  call transforms all of its rows with one inverse FFT; the rows come
-  from one Generator or from a sequence of Generators, one per row.
+  call transforms the half spectrum of all its rows with one inverse real
+  FFT, for every L >= 1; the rows come from one Generator or from a
+  sequence of Generators, one per row.
 
 Ensembles for the noise expansion W^H_Q = sum_k sqrt(Lambda_k) phi_k W^H_k
 are generated by :func:`mode_increments`: one counter-based RNG stream per
@@ -23,7 +24,7 @@ subset-stable (mode k, trajectory i always sees the same path regardless
 of how many other modes or trajectories are generated).  Each mode is one
 sampler call over the trajectories' streams.  All modes share the
 eigenvalue roots that the call computes once, and the normals and complex
-spectrum buffers that it allocates once, so their pages are faulted in
+half-spectrum buffers that it allocates once, so their pages are faulted in
 once per call, not once per mode; each mode's streams object carries
 them to its sampler call.  Every stream still consumes its normals in the
 fixed per-row layout, so the batching does not change a single draw.
@@ -113,27 +114,23 @@ def _normals(rng: np.random.Generator | Sequence[np.random.Generator],
 
 
 def _sampler_buffers(rows: int, n_steps: int) -> tuple:
-    """New normals and complex spectrum buffers for a sampler call over
-    ``rows`` rows of ``n_steps`` increments."""
-    width = 2 * n_steps if n_steps > 1 else 1
-    return np.empty((rows, width)), np.empty((rows, width), dtype=complex)
+    """New normals (rows, 2L) and complex half-spectrum (rows, L+1) buffers
+    for a sampler call over ``rows`` rows of ``n_steps`` increments."""
+    return np.empty((rows, 2 * n_steps)), np.empty((rows, n_steps + 1), dtype=complex)
 
 
 def _circulant_root(h: float, tau: float, n_steps: int) -> np.ndarray:
-    """Square roots of the eigenvalues of the circulant of size 2L that
-    embeds gamma(0..L); for L = 1, the one-element [sqrt(gamma(0))]."""
+    """Square roots of the first L+1 eigenvalues of the circulant of size
+    2L that embeds gamma(0..L): its first row is real and even, so its 2L
+    eigenvalues, all checked here, are the Hermitian FFT of gamma(0..L)."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    g = increment_covariance(h, tau, np.arange(n_steps + 1))
-    if n_steps == 1:
-        return np.sqrt(g[:1])
-    first_row = np.concatenate([g[:n_steps], g[n_steps:n_steps + 1], g[n_steps - 1:0:-1]])
-    eigs = np.fft.fft(first_row).real
+    eigs = np.fft.hfft(increment_covariance(h, tau, np.arange(n_steps + 1)))
     if eigs.min() < -1e-10 * eigs.max():
         raise ValueError(
             f"circulant embedding for H={h}, L={n_steps} has eigenvalue "
             f"{eigs.min():.3e}; the fGn embedding must be nonnegative definite")
-    return np.sqrt(np.clip(eigs, 0.0, None))
+    return np.sqrt(np.clip(eigs[:n_steps + 1], 0.0, None))
 
 
 def sample_fbm_circulant(h: float, tau: float, n_steps: int,
@@ -148,19 +145,21 @@ def sample_fbm_circulant(h: float, tau: float, n_steps: int,
     ``rng[i]``.
 
     The covariance sequence gamma(0..L) is embedded in a circulant of size
-    2L whose eigenvalues (the real FFT of the first row) are provably
+    2L whose eigenvalues (the Hermitian FFT of gamma(0..L)) are provably
     nonnegative for fractional Gaussian noise; tiny negative rounding
-    residue is clamped, anything materially negative raises.  The square
-    roots of the eigenvalues are computed once per call, and one inverse
-    FFT transforms all rows; the normals and the spectrum are assembled in
+    residue is clamped, anything materially negative raises.  Each row's
+    spectrum is Hermitian, so only its half, entries 0..L, is built, and
+    one inverse real FFT transforms all rows; the result is a view of the
+    first L columns of that new (rows, 2L) array.  The roots are computed
+    once per call, and the normals and the half spectrum are assembled in
     buffers the call allocates.  A :func:`mode_increments` call instead
     shares one set of roots and buffers between its modes, through each
-    mode's streams object.  The returned rows are always a new array.
+    mode's streams object.
 
     Draw layout (fixed; part of the reproducibility contract): for each
     row, 2L standard normals are consumed as
-    [xi_0, xi_L, Re xi_1..Re xi_{L-1}, Im xi_1..Im xi_{L-1}].
-    For L = 1 each row consumes a single normal.
+    [xi_0, xi_L, Re xi_1..Re xi_{L-1}, Im xi_1..Im xi_{L-1}];
+    for L = 1 that is [xi_0, xi_1].
     """
     if isinstance(rng, _Rekeyed):
         root, (z, xi) = rng.root, rng.buffers
@@ -169,23 +168,19 @@ def sample_fbm_circulant(h: float, tau: float, n_steps: int,
         rows = n_paths if isinstance(rng, np.random.Generator) else len(rng)
         z, xi = _sampler_buffers(rows, n_steps)
     _normals(rng, n_paths, z)
-    if n_steps == 1:
-        return root[0] * z
     m = 2 * n_steps
-    # xi_j = sqrt(eigs_j) * (sqrt(m/2) * (Re + i Im)), conjugate symmetric;
-    # each part is written in place with the products of that complex
-    # expression in its order, so every element keeps its bits
+    # xi_j = sqrt(eigs_j) * (sqrt(m/2) * (Re + i Im)) for j = 0..L; each
+    # part is written in place with the products of that complex
+    # expression in its order
     re, im = xi.real, xi.imag
     np.multiply(z[:, 0], math.sqrt(m), out=re[:, 0])
     np.multiply(z[:, 1], math.sqrt(m), out=re[:, n_steps])
     im[:, 0] = im[:, n_steps] = 0.0
     np.multiply(z[:, 2:n_steps + 1], math.sqrt(m / 2.0), out=re[:, 1:n_steps])
     np.multiply(z[:, n_steps + 1:], math.sqrt(m / 2.0), out=im[:, 1:n_steps])
-    re[:, n_steps + 1:] = re[:, n_steps - 1:0:-1]
-    np.negative(im[:, n_steps - 1:0:-1], out=im[:, n_steps + 1:])
     re *= root
     im *= root
-    return np.fft.ifft(xi, axis=-1)[:, :n_steps].real
+    return np.fft.irfft(xi, m, axis=-1)[:, :n_steps]
 
 
 def _stream(master_seed: int, mode: int, trajectory: int) -> np.random.Generator:

@@ -371,7 +371,8 @@ def load_trajectory(path):
     meta = {name: header[name].item() for name in _HEADER_DTYPE.names}
     n_modes, n_steps = meta["n_modes"], meta["n_steps"]
     if len(payload) != 8 * (n_steps + 1) * n_modes:
-        raise ValueError(f"{path}: truncated payload")
+        raise ValueError(f"{path}: payload of {len(payload)} bytes, expected "
+                         f"{8 * (n_steps + 1) * n_modes} for {n_steps + 1} x {n_modes} float64")
     states = np.frombuffer(payload, dtype="<f8").reshape(n_steps + 1, n_modes).copy()
     codes = {v: k for k, v in _NL_CODES.items()}
     codes[2] = "custom"

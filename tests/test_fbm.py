@@ -115,6 +115,41 @@ def test_single_step_case():
     assert np.var(x) == pytest.approx(target, rel=5 * math.sqrt(2.0 / 20_000))
 
 
+def _textbook_davies_harte(h, tau, n_steps, z):
+    """Full-spectrum Davies–Harte from the normals z (rows, 2L) in the
+    sampler's layout: the FFT of the mirrored first row, the conjugate-
+    symmetric spectrum of size 2L, and the real part of its inverse FFT."""
+    m = 2 * n_steps
+    g = fbm.increment_covariance(h, tau, np.arange(n_steps + 1))
+    eigs = np.fft.fft(np.concatenate([g, g[n_steps - 1:0:-1]])).real
+    spectrum = np.zeros((len(z), m), dtype=complex)
+    spectrum[:, 0] = math.sqrt(m) * z[:, 0]
+    spectrum[:, n_steps] = math.sqrt(m) * z[:, 1]
+    half = math.sqrt(m / 2) * (z[:, 2:n_steps + 1] + 1j * z[:, n_steps + 1:])
+    spectrum[:, 1:n_steps] = half
+    spectrum[:, n_steps + 1:] = np.conj(half[:, ::-1])
+    spectrum *= np.sqrt(np.clip(eigs, 0.0, None))
+    return np.fft.ifft(spectrum, axis=-1).real[:, :n_steps]
+
+
+@pytest.mark.parametrize("rng_form", ["generator", "generator list"])
+@pytest.mark.parametrize("h", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 8, 257, 1024])
+def test_circulant_sampler_matches_the_full_spectrum_textbook_form(n_steps, h, rng_form):
+    tau, n_rows = 0.01 / n_steps, 4
+    if rng_form == "generator":
+        x = fbm.sample_fbm_circulant(h, tau, n_steps, np.random.default_rng(11), n_rows)
+        z = np.random.default_rng(11).standard_normal((n_rows, 2 * n_steps))
+    else:
+        x = fbm.sample_fbm_circulant(
+            h, tau, n_steps, [np.random.default_rng(i) for i in range(n_rows)])
+        z = np.vstack([np.random.default_rng(i).standard_normal(2 * n_steps)
+                       for i in range(n_rows)])
+    expected = _textbook_davies_harte(h, tau, n_steps, z)
+    assert x.shape == (n_rows, n_steps)
+    assert np.max(np.abs(x - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 def _energy_statistic_p_value(x, y, n_perm=99, seed=7):
     """Two-sample energy test p-value via permutations.
 

@@ -320,6 +320,17 @@ def test_load_trajectory_names_the_path_of_a_truncated_header(tmp_path):
         solver.load_trajectory(path)
 
 
+@pytest.mark.parametrize("payload, size", [(lambda raw: raw[:-8], 56),
+                                           (lambda raw: raw + bytes(8), 72)])
+def test_load_trajectory_names_both_sizes_of_a_wrong_payload(tmp_path, payload, size):
+    # the small dump's payload is 4 x 2 float64, 64 bytes; one short, one long
+    path = _small_dump(tmp_path)
+    path.write_bytes(payload(path.read_bytes()))
+    with pytest.raises(ValueError, match=f"^{path}: payload of {size} bytes, "
+                                         f"expected 64 for 4 x 2 float64$"):
+        solver.load_trajectory(path)
+
+
 def test_load_trajectory_rejects_an_unknown_nonlinearity_code(tmp_path):
     path = _small_dump(tmp_path)
     raw = bytearray(path.read_bytes())

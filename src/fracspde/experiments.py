@@ -393,9 +393,9 @@ def _map_chunks(config: ExperimentConfig, chunks, workers: int) -> list:
 
     Every child is read to EOF and waited for, also when this process
     fails, so none is left behind.  A child that exits without sending its
-    outcome raises a RuntimeError that names its wait status.  Otherwise
-    the failure with the lowest chunk index is raised, the one a run of
-    the chunks in order raises first.
+    outcome raises a ChildProcessError, an OSError, that names its wait
+    status.  Otherwise the failure with the lowest chunk index is raised,
+    the one a run of the chunks in order raises first.
     """
     if not hasattr(os, "fork"):
         workers = 1
@@ -421,8 +421,8 @@ def _map_chunks(config: ExperimentConfig, chunks, workers: int) -> list:
         if status != 0:
             code = os.waitstatus_to_exitcode(status)
             how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-            raise RuntimeError(f"worker process {pid} exited without sending its "
-                               f"chunks: wait status {status} ({how})")
+            raise ChildProcessError(f"worker process {pid} exited without sending "
+                                    f"its chunks: wait status {status} ({how})")
         outcomes.append(pickle.loads(reply))
     blocks, failures = [None] * len(chunks), []
     for share, (done, failure) in enumerate(outcomes):

@@ -12,8 +12,8 @@ H in (0,1):
   Gaussian noise is nonnegative definite for every H, so a materially
   negative eigenvalue signals an implementation bug and raises.  Each
   call transforms the half spectrum of all its rows with one inverse real
-  FFT, for every L >= 1; the rows come from one Generator or from a
-  sequence of Generators, one per row.
+  FFT, for every L >= 1; one ``standard_normal(out=)`` call of its rng
+  fills the normals of all rows.
 
 Ensembles for the noise expansion W^H_Q = sum_k sqrt(Lambda_k) phi_k W^H_k
 are generated by :func:`mode_increments`: one counter-based RNG stream per
@@ -26,8 +26,9 @@ sampler call over the trajectories' streams.  All modes share the
 eigenvalue roots that the call computes once, and the normals and complex
 half-spectrum buffers that it allocates once, so their pages are faulted in
 once per call, not once per mode; each mode's streams object carries
-them to its sampler call.  Every stream still consumes its normals in the
-fixed per-row layout, so the batching does not change a single draw.
+them to its sampler call and fills one row of normals from each stream.
+Every stream still consumes its normals in the fixed per-row layout, so
+the batching does not change a single draw.
 
 A stream is the Philox generator that ``SeedSequence`` keys; everything
 else in its state starts at zero.  So :func:`mode_increments` computes
@@ -100,19 +101,6 @@ def sample_fbm_cholesky(h: float, tau: float, n_steps: int,
     return rng.standard_normal((n_paths, n_steps)) @ factor.T
 
 
-def _normals(rng: np.random.Generator | Sequence[np.random.Generator],
-             n_paths: int, out: np.ndarray) -> None:
-    """Fill ``out`` (rows, width) with standard normals: ``n_paths`` rows
-    from one Generator, or one row from each generator of a sequence."""
-    if isinstance(rng, np.random.Generator):
-        rng.standard_normal(out=out)
-        return
-    if n_paths != 1:
-        raise ValueError(f"n_paths must be 1 with one generator per row, got {n_paths}")
-    for row, gen in zip(out, rng):
-        gen.standard_normal(out=row)
-
-
 def _sampler_buffers(rows: int, n_steps: int) -> tuple:
     """New normals (rows, 2L) and complex half-spectrum (rows, L+1) buffers
     for a sampler call over ``rows`` rows of ``n_steps`` increments."""
@@ -134,15 +122,13 @@ def _circulant_root(h: float, tau: float, n_steps: int) -> np.ndarray:
 
 
 def sample_fbm_circulant(h: float, tau: float, n_steps: int,
-                         rng: np.random.Generator | Sequence[np.random.Generator],
-                         n_paths: int = 1) -> np.ndarray:
+                         rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
     """Davies–Harte fGn sampler; returns (rows, L).
 
-    ``rng`` is either one Generator, which supplies all ``n_paths`` rows,
-    or a sequence of Generators with one output row each (then
-    ``n_paths`` must be 1).  Either way each row consumes its own 2L
-    normals, so row i of the sequence form equals a one-path call with
-    ``rng[i]``.
+    One ``rng.standard_normal(out=z)`` call fills the 2L normals of each
+    row.  ``rng`` is a Generator, which fills ``n_paths`` rows in order, or
+    the streams object of a :func:`mode_increments` call, which brings its
+    own rows and fills row i from its i-th stream.
 
     The covariance sequence gamma(0..L) is embedded in a circulant of size
     2L whose eigenvalues (the Hermitian FFT of gamma(0..L)) are provably
@@ -165,9 +151,8 @@ def sample_fbm_circulant(h: float, tau: float, n_steps: int,
         root, (z, xi) = rng.root, rng.buffers
     else:
         root = _circulant_root(h, tau, n_steps)
-        rows = n_paths if isinstance(rng, np.random.Generator) else len(rng)
-        z, xi = _sampler_buffers(rows, n_steps)
-    _normals(rng, n_paths, z)
+        z, xi = _sampler_buffers(n_paths, n_steps)
+    rng.standard_normal(out=z)
     m = 2 * n_steps
     # xi_j = sqrt(eigs_j) * (sqrt(m/2) * (Re + i Im)) for j = 0..L; each
     # part is written in place with the products of that complex
@@ -257,30 +242,27 @@ def _philox_keys(master_seed: int, modes: Sequence[int],
 
 
 class _Rekeyed:
-    """The streams ``Generator(Philox(key=k))`` for each ``k`` in ``keys``,
-    in order, as one Generator re-keyed in place: each is valid until the
-    next is taken, which suits one pass over the rows in :func:`_normals`.
-    It also carries the circulant ``root`` and the sampler ``buffers`` of
-    its :func:`mode_increments` call, which :func:`sample_fbm_circulant`
-    uses in place of its own."""
+    """A row source for :func:`sample_fbm_circulant`: row i of its normals
+    comes from the stream ``Generator(Philox(key=keys[i]))``, drawn by one
+    Generator re-keyed in place per row.  It also carries the circulant
+    ``root`` and the sampler ``buffers`` of its :func:`mode_increments`
+    call, which :func:`sample_fbm_circulant` uses in place of its own."""
 
     def __init__(self, gen: np.random.Generator, keys: list, root: np.ndarray,
                  buffers: tuple) -> None:
         self._gen, self._keys = gen, keys
         self.root, self.buffers = root, buffers
 
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __iter__(self):
+    def standard_normal(self, *, out: np.ndarray) -> None:
+        """Fill row i of ``out`` with standard normals from the i-th stream."""
         bits = self._gen.bit_generator
-        for key in self._keys:
+        for row, key in zip(out, self._keys):
             # the state Philox starts in: counter 0, buffer empty
             bits.state = {"bit_generator": "Philox",
                           "state": {"counter": [0, 0, 0, 0], "key": key},
                           "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                           "has_uint32": 0, "uinteger": 0}
-            yield self._gen
+            self._gen.standard_normal(out=row)
 
 
 def _index(name: str, value) -> int:

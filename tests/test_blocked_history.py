@@ -5,7 +5,6 @@ over the states before a block, then a gemv over the block's own states.
 These tests pick step counts on both sides of the block (16) and panel
 (256) edges.
 """
-import ctypes
 
 import numpy as np
 import pytest
@@ -88,13 +87,10 @@ def test_linear_ensemble_matches_dense_triangular_oracle(n_steps):
 
 
 def _blas_threads_setter():
-    get_threads = experiments._openblas_function("get_num_threads")
-    set_threads = experiments._openblas_function("set_num_threads")
-    if get_threads is None or set_threads is None:
+    functions = experiments._openblas_thread_functions()
+    if functions is None:
         pytest.skip("numpy's BLAS does not export openblas_set_num_threads")
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get_threads, set_threads
+    return functions
 
 
 @pytest.mark.parametrize("nonlinearity", ["sin", "zero"])

@@ -2,6 +2,7 @@ import ctypes
 import io
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracspde import experiments, fbm, solver, spectral
+from fracspde import cli, experiments, fbm, solver, spectral
 from fracspde.experiments import (
     ExperimentConfig,
     LevelResult,
@@ -716,7 +717,7 @@ def test_lowest_failing_chunk_is_raised_as_in_one_process(
     _assert_no_child_left()
 
 
-def test_killed_child_raises_runtime_error_naming_its_status(
+def test_killed_child_raises_child_process_error_naming_its_status(
         monkeypatch, caller_on_three_blas_threads):
     caller = os.getpid()
 
@@ -725,11 +726,29 @@ def test_killed_child_raises_runtime_error_naming_its_status(
             os.kill(os.getpid(), signal.SIGKILL)
 
     _fail_chunks(monkeypatch, die_in_a_child)
-    with pytest.raises(RuntimeError, match=(
+    with pytest.raises(ChildProcessError, match=(
             r"^worker process \d+ exited without sending its chunks: "
             rf"wait status {int(signal.SIGKILL)} \(killed by signal "
             rf"{int(signal.SIGKILL)}\)$")):
         run_convergence_study(_config(n_traj=50), threads=2)
+    _assert_no_child_left()
+
+
+def test_cli_reports_a_dead_worker_as_an_error_line(
+        tmp_path, capsys, monkeypatch, caller_on_three_blas_threads):
+    def exit_nine(*args):
+        os._exit(9)
+
+    monkeypatch.setattr(experiments, "_child_share", exit_nine)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("alpha = 0.3\ns = 0.7\nhurst = 0.8\nm = -1\naxis = time\n"
+                        "levels = 4,8\nfixed_other = 8\nn_traj = 50\nseed = 11\n")
+    rc = cli.main(["study", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                   "--threads", "2"])
+    assert rc == 1
+    assert re.fullmatch(
+        r"error: worker process \d+ exited without sending its chunks: "
+        r"wait status 2304 \(exit code 9\)\n", capsys.readouterr().err)
     _assert_no_child_left()
 
 

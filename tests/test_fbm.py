@@ -141,8 +141,9 @@ def test_circulant_sampler_matches_the_full_spectrum_textbook_form(n_steps, h, r
         x = fbm.sample_fbm_circulant(h, tau, n_steps, np.random.default_rng(11), n_rows)
         z = np.random.default_rng(11).standard_normal((n_rows, 2 * n_steps))
     else:
-        x = fbm.sample_fbm_circulant(
-            h, tau, n_steps, [np.random.default_rng(i) for i in range(n_rows)])
+        # one single-path call per generator, the form the per-stream oracle uses
+        x = np.vstack([fbm.sample_fbm_circulant(h, tau, n_steps, np.random.default_rng(i))
+                       for i in range(n_rows)])
         z = np.vstack([np.random.default_rng(i).standard_normal(2 * n_steps)
                        for i in range(n_rows)])
     expected = _textbook_davies_harte(h, tau, n_steps, z)
@@ -227,19 +228,11 @@ def test_mode_increments_match_per_stream_sampler(n_steps):
         np.testing.assert_array_equal(batched[:, :, k - 1], rows.T)
 
 
-@pytest.mark.parametrize("n_steps", [1, 16])
-def test_generator_list_of_one_matches_single_generator(n_steps):
-    single = fbm.sample_fbm_circulant(0.4, 0.1, n_steps, np.random.default_rng(3), 1)
-    listed = fbm.sample_fbm_circulant(0.4, 0.1, n_steps, [np.random.default_rng(3)])
-    np.testing.assert_array_equal(listed, single)
-
-
-def test_generator_list_rejects_several_paths_per_row():
-    with pytest.raises(ValueError, match="n_paths"):
-        fbm.sample_fbm_circulant(0.4, 0.1, 8, [np.random.default_rng(3)], 2)
-
-
-def test_generator_list_still_checks_negative_eigenvalues(monkeypatch):
+@pytest.mark.parametrize("draw", [
+    lambda: fbm.sample_fbm_circulant(0.5, 1.0, 8, np.random.default_rng(0), 3),
+    lambda: fbm.mode_increments(0.5, 1.0, 8, 0, 2, range(3)),
+], ids=["sample_fbm_circulant", "mode_increments"])
+def test_circulant_embedding_refuses_a_negative_eigenvalue(monkeypatch, draw):
     # gamma = (1, 2, 0, ...) embeds in a circulant with eigenvalue 1 - 4 < 0
     def not_psd(h, tau, lag):
         g = np.zeros(len(lag))
@@ -247,9 +240,8 @@ def test_generator_list_still_checks_negative_eigenvalues(monkeypatch):
         return g
 
     monkeypatch.setattr(fbm, "increment_covariance", not_psd)
-    rngs = [np.random.default_rng(i) for i in range(3)]
     with pytest.raises(ValueError, match="nonnegative definite"):
-        fbm.sample_fbm_circulant(0.5, 1.0, 8, rngs)
+        draw()
 
 
 _SEEDS = st.integers(0, 2 ** 64 - 1) | st.integers(2 ** 128, 2 ** 140)

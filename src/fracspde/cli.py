@@ -195,6 +195,11 @@ def _selftest_cq() -> str:
     return f"recurrence vs series, rel {worst:.2e}"
 
 
+def _far_sums(states: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # each row the kernel yields is a view that its next block overwrites
+    return np.array([row.copy() for row in solver._far_history_sums(states, weights)])
+
+
 def _selftest_cq_history() -> str:
     n_steps, width = 64, 16
     weights = cq.cq_weights(0.4, 0.01, n_steps)
@@ -212,20 +217,33 @@ def _selftest_cq_history() -> str:
                               got[-1, cols]):
             raise AssertionError(f"columns {cols.start}..{cols.stop - 1} change "
                                  f"with the batch width")
-    # the batch's blocked sums (GEMM panels, then a gemv per step) on the
-    # installed BLAS; 300 steps cross the 16-step blocks and 256-state panels
-    n_steps = 300
+    # on the installed BLAS, 300 steps cross the 16-step blocks and the
+    # 256-state panels: the far sums both paths take at each block's start,
+    # and the batch's blocked sums (far sums, then a gemv per step)
+    n_steps, width = 300, 16
     weights = cq.cq_weights(0.4, 0.01, n_steps)
     states = np.random.default_rng(4322).standard_normal((n_steps + 1, 3, 5))
-    lags = np.subtract.outer(np.arange(n_steps), np.arange(n_steps))
-    toeplitz = np.where(lags >= 1, weights[lags], 0.0)   # row n-1: sum_j d_{n-j} u^j
-    expect = toeplitz @ states[1:].reshape(n_steps, -1)
+    row, col = np.arange(n_steps)[:, None], np.arange(n_steps)
+    toeplitz = np.where(row > col, weights[np.clip(row - col, 0, None)], 0.0)
+    expect = toeplitz @ states[1:].reshape(n_steps, -1)   # row n-1: sum_j d_{n-j} u^j
     got = np.array(list(solver._blocked_history_sums(states[1:], weights)))
     blocked = float(np.max(np.abs(got.reshape(n_steps, -1) - expect))
                     / np.max(np.abs(expect)))
     if blocked > 1e-13:
         raise AssertionError(f"blocked batch sum vs dense Toeplitz, rel {blocked:.2e}")
-    return f"dense Toeplitz rel {rel:.2e}, width independent, blocked rel {blocked:.2e}"
+    states = np.random.default_rng(4323).standard_normal((n_steps, width))
+    # only the states before step n's block
+    expect = np.where(col < row - row % 16, toeplitz, 0.0) @ states
+    got = _far_sums(states, weights)
+    far = float(np.max(np.abs(got - expect)) / np.max(np.abs(expect)))
+    if far > 1e-13:
+        raise AssertionError(f"far history sums vs dense Toeplitz, rel {far:.2e}")
+    for cols in (1, 5, 13):
+        if not np.array_equal(_far_sums(states[:, :cols].copy(), weights), got[:, :cols]):
+            raise AssertionError(f"far sums of {cols} columns differ from the same "
+                                 f"columns of {width}")
+    return (f"einsum vs dense Toeplitz rel {rel:.2e}, blocked rel {blocked:.2e}, "
+            f"far sums rel {far:.2e}, einsum and far sums width independent")
 
 
 def _selftest_mlf() -> str:

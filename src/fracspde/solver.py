@@ -33,28 +33,31 @@ holds no second array of that size.  Finiteness is checked once per
 row order names the step.  Up to ``_BLOCK - 1`` steps may run on a
 non-finite state before the check, so the loop runs with numpy's
 invalid-value warnings off: the SolverError reports the state.  The
-update is written only in ``_solve``, which takes the CQ history sum
-from one of two kernels:
+update is written only in ``_solve``.  Its CQ history sum comes in two
+parts, for both paths:
 
-* One path: ``step``, which sums with ``cq.apply_cq_history``, an einsum
-  that adds d_1 u^{n-1} first and gives every mode the same arithmetic
-  whatever the mode count.  That keeps the modes of a linear run bitwise
-  decoupled and ``trajectory.bin`` byte-stable.  The matmul on a reversed
-  view that it replaced gave the same bits but ran numpy's scalar loop:
-  at L=2048, N=128 one trajectory took 0.55 s with it and about 0.25 s
-  with the einsum (2 vCPU, numpy 2.4, OpenBLAS 0.3).
-* A batch: ``_blocked_history_sums``.  At the start of each block of
+* Before the block: ``_far_history_sums``.  At the start of each block of
   ``_BLOCK`` = 16 steps, GEMMs of a Toeplitz block of weights with the
-  stored states give the block's sums over all earlier states; each step
-  then adds a gemv over the at most 15 states of its own block.  The
-  arithmetic is that of one gemv per step, but each past state is read
-  once per block instead of once per step: a level of L=2048 steps at
-  N=128, 25 paths and one BLAS thread took 3.3 s with the per-step gemv
-  and 1.1 s blocked (2 vCPU, numpy 2.4, OpenBLAS 0.3.31).  The GEMMs
+  stored states give the block's sums over all states before it, so each
+  past state is read once per block instead of once per step.  The GEMMs
   reduce over panels of at most ``_PANEL`` = 256 states, added in a fixed
   order, because OpenBLAS splits a longer reduction differently at
-  different thread counts.  A column's bits can change with the number
-  of columns, so the single path does not use it.
+  different thread counts.  They run in place on the leading columns, a
+  multiple of 8, and the at most 7 others go through a zero-padded panel
+  of 8 columns, since OpenBLAS takes an edge kernel with other bits for
+  the last columns of any other count.  So a column's bits do not depend
+  on the column count, and the modes of a linear run stay bitwise
+  decoupled.
+* Within the block: one path calls ``step`` with the block's states only,
+  the far sum coming in through its forcing, and ``step`` sums them with
+  ``cq.apply_cq_history``, an einsum that adds d_1 u^{n-1} first and gives
+  every mode the same arithmetic.  A batch adds a gemv over the block's
+  states, whose bits can change with the batch width.
+
+At L=2048, N=128 and one BLAS thread, one trajectory took 0.22-0.26 s
+with the einsum over its whole history and 0.11-0.12 s with the far sums
+(2 vCPU, numpy 2.4, OpenBLAS 0.3.31); a level of L=2048 steps at N=128
+and 25 paths took 3.3 s with a per-step gemv and 1.1 s blocked.
 
 ``step`` is also the public one-step form: the einsum broadcasts over a
 history of (n_traj, N) states, and each row of the result is bit for bit
@@ -82,7 +85,7 @@ __all__ = [
 
 _NONLINEARITIES = {"zero": None, "sin": np.sin}
 
-#: steps of a batch whose sums over earlier states one round of GEMMs gives
+#: steps whose sums over the states before them one round of GEMMs gives
 _BLOCK = 16
 #: past states per GEMM: OpenBLAS 0.3.31 splits a longer reduction
 #: differently at different thread counts, which changes its bits
@@ -174,11 +177,50 @@ def _solve(prev: np.ndarray, hist_sum, lam_s: np.ndarray, tau: float, denom,
 
 def step(history: np.ndarray, weights: np.ndarray, lam_s: np.ndarray, tau: float,
          forcing_coeffs, noise_coeffs) -> np.ndarray:
-    """One implicit step: history rows are u^0..u^{n-1}, each of shape (N,)
-    or (n_traj, N); returns u^n, each row with the bits of its own step."""
+    """One implicit step: history rows are u^{n0-1}..u^{n-1}, each of shape
+    (N,) or (n_traj, N); returns u^n, each row with the bits of its own step.
+
+    Row 0 of ``history`` is not summed, so ``history`` = u^0..u^{n-1} is
+    the whole step.  With n0 > 1 the sum over u^1..u^{n0-1} must come in
+    through ``forcing_coeffs``, as -lam_s times it: that is how
+    ``run_trajectory`` steps, with n0 the first step of n's block.
+    """
     hist_sum = cq.apply_cq_history(weights[1:], history[1:])
     return _solve(history[-1], hist_sum, lam_s, tau, 1.0 / tau + weights[0] * lam_s,
                   forcing_coeffs, noise_coeffs)
+
+
+def _far_history_sums(flat: np.ndarray, weights: np.ndarray):
+    """Yield, for n = 1..L, the part of the n-th history sum over the states
+    before n's block: sum_{j=1}^{n0-1} d_{n-j} u^j, n0 being the block's
+    first step.  Each row is a view that the next block overwrites.
+
+    ``flat`` is the (L, width) buffer whose row j-1 is u^j, read as the
+    caller fills it: a block's sums need only the rows before the block.
+    At the block's start, GEMMs give them one panel of at most ``_PANEL``
+    states at a time, added in panel order, on the leading columns in place
+    and on the at most 7 others padded to 8 (see the module docstring).
+    """
+    n_steps, width = flat.shape
+    lead = width - width % 8
+    far = np.zeros((_BLOCK, width))                   # the first block has none
+    pad, pad_sums = np.zeros((_PANEL, 8)), np.zeros((_BLOCK, 8))
+    for n0 in range(1, n_steps + 1, _BLOCK):
+        rows = min(_BLOCK, n_steps + 1 - n0)
+        for p0 in range(1, n0, _PANEL):
+            p1 = min(p0 + _PANEL, n0)
+            toeplitz = weights[np.arange(n0, n0 + rows)[:, None] - np.arange(p0, p1)]
+            gemms = [(flat[p0 - 1:p1 - 1, :lead], far[:rows, :lead])]
+            if lead < width:
+                pad[:p1 - p0, :width - lead] = flat[p0 - 1:p1 - 1, lead:]
+                gemms.append((pad[:p1 - p0], pad_sums[:rows]))
+            for panel, sums in gemms:
+                if p0 == 1:
+                    np.matmul(toeplitz, panel, out=sums)
+                else:
+                    sums += toeplitz @ panel
+        far[:rows, lead:] = pad_sums[:rows, :width - lead]
+        yield from far[:rows]
 
 
 def _blocked_history_sums(states: np.ndarray, weights: np.ndarray):
@@ -188,30 +230,18 @@ def _blocked_history_sums(states: np.ndarray, weights: np.ndarray):
     u^j, and is read as the caller fills it: the n-th sum needs rows up to
     n-2 only.  A buffer that is not C-contiguous raises a ValueError: its
     flattened rows would be a copy, and the sums would read stale states.
-    At the start of each block of ``_BLOCK`` steps, GEMMs of a Toeplitz
-    block of weights with the states give the block's sums over all
-    earlier states, one panel of at most ``_PANEL`` states at a time, added
-    in panel order.  Each step then adds a gemv over the states of its own
-    block.
+    Each sum is the block's far sum (:func:`_far_history_sums`) plus a gemv
+    over the states of its own block.
     """
     if not states.flags.c_contiguous:
         raise ValueError("the states buffer must be C-contiguous")
     n_steps = states.shape[0]
     flat = states.reshape(n_steps, -1)                # row j-1 is u^j
     w_rev = weights[:0:-1].copy()                     # d_{L-1} .. d_1
-    far = np.zeros((_BLOCK, flat.shape[1]))           # the first block has none
-    for n0 in range(1, n_steps + 1, _BLOCK):
-        rows = min(_BLOCK, n_steps + 1 - n0)
-        for p0 in range(1, n0, _PANEL):
-            p1 = min(p0 + _PANEL, n0)
-            toeplitz = weights[np.arange(n0, n0 + rows)[:, None] - np.arange(p0, p1)]
-            if p0 == 1:
-                np.matmul(toeplitz, flat[p0 - 1:p1 - 1], out=far[:rows])
-            else:
-                far[:rows] += toeplitz @ flat[p0 - 1:p1 - 1]
-        for r in range(rows):
-            near = w_rev[n_steps - 1 - r:] @ flat[n0 - 1:n0 - 1 + r]   # d_r .. d_1
-            yield (far[r] + near).reshape(states.shape[1:])
+    for i, far in enumerate(_far_history_sums(flat, weights)):
+        r = i % _BLOCK
+        near = w_rev[n_steps - 1 - r:] @ flat[i - r:i]                # d_r .. d_1
+        yield (far + near).reshape(states.shape[1:])
 
 
 def _check_finite(rows: np.ndarray, first: int) -> None:
@@ -241,21 +271,21 @@ def _advance(params: ModelParams, disc: Discretization, states: np.ndarray) -> n
     # the noise forcing amp * inc / tau, rounded as a per-step product is
     np.multiply(amp, rows, out=rows)
     np.divide(rows, tau, out=rows)
-    batch_sums = _blocked_history_sums(rows, weights) if states.ndim == 3 else None
-    checked = 0                               # states[1:checked + 1] are finite
+    batch = states.ndim == 3
+    sums = _blocked_history_sums(rows, weights) if batch else _far_history_sums(rows, weights)
     with np.errstate(invalid="ignore"):       # steps after a bad one meet inf
         for n in range(1, n_steps + 1):
             prev = states[n - 1]
             fterm = 0.0 if f is None else spectral.project(
                 f(spectral.synthesize(prev, 2 * n_modes)), n_modes)
-            if batch_sums is None:
-                states[n] = step(states[:n], weights, lam_s, tau, fterm, states[n])
-            else:
-                _solve(prev, next(batch_sums), lam_s, tau, denom, fterm, states[n],
-                       out=states[n])
-            if n % _BLOCK == 0 or n == n_steps:
-                _check_finite(states[checked + 1:n + 1], checked + 1)
-                checked = n
+            n0 = n - (n - 1) % _BLOCK         # the first step of n's block
+            if batch:
+                _solve(prev, next(sums), lam_s, tau, denom, fterm, states[n], out=states[n])
+            else:                             # step sums the block, the far sum is forcing
+                states[n] = step(states[n0 - 1:n], weights, lam_s, tau,
+                                 fterm - lam_s * next(sums), states[n])
+            if n == n0 + _BLOCK - 1 or n == n_steps:
+                _check_finite(states[n0:n + 1], n0)
     return states
 
 
@@ -304,11 +334,11 @@ def run_ensemble(params: ModelParams, disc: Discretization, increments: np.ndarr
     """Advance a batch of trajectories; returns final coefficients (n_traj, N).
 
     ``increments`` is time-major, (L, n_traj, N), as ``fbm.mode_increments``
-    draws it.  Each path follows ``run_trajectory``'s scheme, but the batch
-    sums its history in blocks of GEMMs and gemvs
-    (``_blocked_history_sums``): a path equals its ``run_trajectory`` run
-    to rounding, its bits can change with the batch width, and they do
-    not change with the BLAS thread count.  The batch steps in a new
+    draws it.  Each path follows ``run_trajectory``'s scheme and takes the
+    same GEMM sums over the states before each block, but sums the block
+    itself with a gemv (``_blocked_history_sums``): a path equals its
+    ``run_trajectory`` run to rounding, its bits can change with the batch
+    width, and they do not change with the BLAS thread count.  The batch steps in a new
     (L+1, n_traj, N) array, or in ``out``, a writeable C-contiguous float64
     array of that shape, which holds u^0..u^L on return.  ``increments``
     is left as it is unless it overlaps ``out``; as ``out[1:]`` itself,

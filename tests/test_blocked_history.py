@@ -1,9 +1,10 @@
-"""The batch's blocked CQ history sum against independent oracles.
+"""The blocked CQ history sums against independent oracles.
 
-``solver.run_ensemble`` sums each step's history in blocks: GEMM panels
-over the states before a block, then a gemv over the block's own states.
-These tests pick step counts on both sides of the block (16) and panel
-(256) edges.
+Both paths take the sums over the states before each 16-step block from
+``solver._far_history_sums`` (GEMM panels of at most 256 states).  Within
+the block, ``solver.run_ensemble`` adds a gemv and ``solver.run_trajectory``
+the einsum of ``solver.step``.  These tests pick step counts on both sides
+of the block (16) and panel (256) edges.
 """
 
 import numpy as np
@@ -86,6 +87,44 @@ def test_linear_ensemble_matches_dense_triangular_oracle(n_steps):
         np.testing.assert_allclose(batch[:, k], dense[-1], rtol=1e-12)
 
 
+@pytest.mark.parametrize("n_modes", [3, 13])
+@pytest.mark.parametrize("n_steps", [17, 257, 300, 530])
+def test_linear_trajectory_matches_dense_triangular_oracle(n_steps, n_modes):
+    # 13 modes are one GEMM column block of 8 and a padded remainder of 5
+    params = _params(alpha=0.6, s=0.5, m=-1.0, nonlinearity="zero")
+    tau = 0.01 / n_steps
+    weights = cq.cq_weights(1.0 - params.alpha, tau, n_steps)
+    lam_s = spectral.eigenvalues(n_modes) ** params.s
+    amp = np.arange(1, n_modes + 1, dtype=float) ** (0.5 * params.m)
+    inc = np.random.default_rng(n_steps + n_modes).standard_normal((n_steps, n_modes))
+    states = solver.run_trajectory(params, Discretization(n_modes, n_steps, tau), inc)
+
+    lags = np.subtract.outer(np.arange(n_steps), np.arange(n_steps))
+    for k in range(n_modes):
+        a_mat = np.where(lags >= 0, lam_s[k] * weights[np.clip(lags, 0, None)], 0.0)
+        a_mat += np.diag(np.full(n_steps, 1.0 / tau))
+        a_mat -= np.diag(np.full(n_steps - 1, 1.0 / tau), -1)
+        dense = solve_triangular(a_mat, amp[k] * inc[:, k] / tau, lower=True)
+        np.testing.assert_allclose(states[-1, k], dense[-1], rtol=1e-12)
+        # every level, to 1e-12 of the mode's largest: near a zero crossing
+        # the oracle's own solve keeps fewer digits
+        assert np.all(np.abs(states[1:, k] - dense) <= 1e-12 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("n_steps", [17, 40, 300, 600])
+def test_linear_trajectory_modes_do_not_depend_on_the_mode_count(n_steps):
+    # mode k of a linear run is one scalar recurrence; the far sums' GEMMs
+    # must give its column the same bits whatever the column count
+    params = _params(nonlinearity="zero")
+    tau = 0.01 / n_steps
+    inc = np.random.default_rng(n_steps).standard_normal((n_steps, 20))
+    joint = solver.run_trajectory(params, Discretization(20, n_steps, tau), inc)
+    for n_modes in range(1, 20):
+        part = solver.run_trajectory(params, Discretization(n_modes, n_steps, tau),
+                                     inc[:, :n_modes])
+        np.testing.assert_array_equal(part, joint[:, :n_modes], err_msg=f"N={n_modes}")
+
+
 def _blas_threads_setter():
     functions = experiments._openblas_thread_functions()
     if functions is None:
@@ -113,3 +152,22 @@ def test_long_ensemble_does_not_depend_on_blas_threads(nonlinearity):
         set_threads(before)
     assert finals[1] == finals[0]
     assert finals[2] == finals[0]
+
+
+@pytest.mark.parametrize("n_modes", [13, 128])
+@pytest.mark.parametrize("n_steps", [1024, 2048])
+def test_long_trajectory_does_not_depend_on_blas_threads(n_steps, n_modes):
+    get_threads, set_threads = _blas_threads_setter()
+    params = _params(hurst=0.3)
+    disc = Discretization(n_modes=n_modes, n_steps=n_steps, tau=0.01 / n_steps)
+    inc = fbm.mode_increments(params.hurst, disc.tau, n_steps, 11, n_modes, [0])[:, 0]
+    before = get_threads()
+    try:
+        runs = []
+        for threads in (1, 2, 8):
+            set_threads(threads)
+            runs.append(solver.run_trajectory(params, disc, inc).tobytes())
+    finally:
+        set_threads(before)
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]

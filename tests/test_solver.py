@@ -239,10 +239,12 @@ def test_single_path_error_locates_mode_and_level():
 
 
 def test_run_trajectory_keeps_history_summation_order():
-    # the history sum must add d_1 u^{n-1} first, exactly as the original
-    # matrix-vector step written out here
+    # the single path's history sum, written out: at the start of each
+    # 16-step block, the sum over all earlier states, one GEMM per panel of
+    # at most 256 states, added in panel order; then step's einsum over the
+    # block's own states, d_1 u^{n-1} first.  300 steps cross both edges.
     params = _params()
-    n_steps, n_modes = 64, 8
+    n_steps, n_modes = 300, 8
     tau = 0.01 / n_steps
     disc = Discretization(n_modes, n_steps, tau)
     inc = fbm.mode_increments(params.hurst, tau, n_steps, 4, n_modes, [0])[:, 0]
@@ -250,15 +252,35 @@ def test_run_trajectory_keeps_history_summation_order():
     weights = cq.cq_weights(1.0 - params.alpha, tau, n_steps)
     amp = 1.0 * np.arange(1, n_modes + 1, dtype=float) ** (0.5 * params.m)
     states = np.zeros((n_steps + 1, n_modes))
+    sequential = np.zeros((n_steps + 1, n_modes))
     for n in range(1, n_steps + 1):
-        history = states[:n]
-        fterm = spectral.project(np.sin(spectral.synthesize(history[n - 1], 2 * n_modes)),
+        n0 = n - (n - 1) % 16
+        if n == n0:
+            rows = min(16, n_steps + 1 - n0)
+            far = np.zeros((rows, n_modes))
+            for p0 in range(1, n0, 256):
+                p1 = min(p0 + 256, n0)
+                toeplitz = weights[np.arange(n0, n0 + rows)[:, None] - np.arange(p0, p1)]
+                far = toeplitz @ states[p0:p1] if p0 == 1 else far + toeplitz @ states[p0:p1]
+        fterm = spectral.project(np.sin(spectral.synthesize(states[n - 1], 2 * n_modes)),
                                  n_modes)
-        hist_sum = weights[1:n] @ history[:0:-1] if n > 1 else 0.0
-        rhs = (history[n - 1] / tau - lam_s * hist_sum + fterm
+        near = weights[1:n - n0 + 1] @ states[n - 1:n0 - 1:-1] if n > n0 else 0.0
+        rhs = (states[n - 1] / tau - lam_s * near + (fterm - lam_s * far[n - n0])
                + amp * inc[n - 1] / tau)
         states[n] = rhs / (1.0 / tau + weights[0] * lam_s)
-    np.testing.assert_array_equal(solver.run_trajectory(params, disc, inc), states)
+        # the order before the blocks: one sum over the whole history
+        fterm = spectral.project(
+            np.sin(spectral.synthesize(sequential[n - 1], 2 * n_modes)), n_modes)
+        hist_sum = weights[1:n] @ sequential[n - 1:0:-1] if n > 1 else 0.0
+        rhs = (sequential[n - 1] / tau - lam_s * hist_sum + fterm
+               + amp * inc[n - 1] / tau)
+        sequential[n] = rhs / (1.0 / tau + weights[0] * lam_s)
+    run = solver.run_trajectory(params, disc, inc)
+    np.testing.assert_array_equal(run, states)
+    # rtol 1e-12 of each mode's largest coefficient: a coefficient near a
+    # zero crossing keeps only the digits that its terms do not cancel
+    scale = np.abs(sequential).max(axis=0)
+    assert np.all(np.abs(run - sequential) <= 1e-12 * scale)
 
 
 def test_shape_validation():

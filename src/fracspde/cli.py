@@ -36,7 +36,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import __version__, cq, fbm, mlf, solver
+from . import __version__, cq, fbm, mlf, solver, spectral
 from .experiments import ExperimentConfig, emit_table, run_convergence_study
 
 __all__ = ["parse_config", "serialize_config", "main"]
@@ -219,18 +219,20 @@ def _selftest_cq_history() -> str:
                                  f"with the batch width")
     # on the installed BLAS, 300 steps cross the 16-step blocks and the
     # 256-state panels: the far sums both paths take at each block's start,
-    # and the batch's blocked sums (far sums, then a gemv per step)
+    # plus step's einsum over the block
     n_steps, width = 300, 16
     weights = cq.cq_weights(0.4, 0.01, n_steps)
     states = np.random.default_rng(4322).standard_normal((n_steps + 1, 3, 5))
     row, col = np.arange(n_steps)[:, None], np.arange(n_steps)
     toeplitz = np.where(row > col, weights[np.clip(row - col, 0, None)], 0.0)
     expect = toeplitz @ states[1:].reshape(n_steps, -1)   # row n-1: sum_j d_{n-j} u^j
-    got = np.array(list(solver._blocked_history_sums(states[1:], weights)))
+    got = np.array([far + cq.apply_cq_history(weights[1:], states[n - (n - 1) % 16:n])
+                    for n, far in enumerate(solver._far_history_sums(states[1:], weights), 1)])
     blocked = float(np.max(np.abs(got.reshape(n_steps, -1) - expect))
                     / np.max(np.abs(expect)))
     if blocked > 1e-13:
-        raise AssertionError(f"blocked batch sum vs dense Toeplitz, rel {blocked:.2e}")
+        raise AssertionError(f"far sums plus block einsum vs dense Toeplitz, "
+                             f"rel {blocked:.2e}")
     states = np.random.default_rng(4323).standard_normal((n_steps, width))
     # only the states before step n's block
     expect = np.where(col < row - row % 16, toeplitz, 0.0) @ states
@@ -244,6 +246,26 @@ def _selftest_cq_history() -> str:
                                  f"columns of {width}")
     return (f"einsum vs dense Toeplitz rel {rel:.2e}, blocked rel {blocked:.2e}, "
             f"far sums rel {far:.2e}, einsum and far sums width independent")
+
+
+def _selftest_transform_rows() -> str:
+    # a path's bits must not depend on the batch it is stepped in, so a
+    # transformed row must not depend on the rows transformed with it
+    rng = np.random.default_rng(4324)
+    for n_modes in (8, 100, 128):
+        coeffs = rng.standard_normal((25, n_modes))
+        grid = rng.standard_normal((25, 2 * n_modes))
+        wide = (spectral.synthesize(coeffs, 2 * n_modes), spectral.project(grid, n_modes))
+        for rows in (1, 2, 5):
+            for lo in (0, 25 - rows):
+                part = slice(lo, lo + rows)
+                narrow = (spectral.synthesize(coeffs[part], 2 * n_modes),
+                          spectral.project(grid[part], n_modes))
+                for name, got, want in zip(("synthesize", "project"), narrow, wide):
+                    if not np.array_equal(got, want[part]):
+                        raise AssertionError(f"{name} of rows {lo}..{lo + rows - 1} "
+                                             f"differs from the same rows of 25, N={n_modes}")
+    return "rows of 1-, 2- and 5-row transforms equal those of 25"
 
 
 def _selftest_mlf() -> str:
@@ -286,6 +308,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         ("fbm stream keys", _selftest_fbm_keys),
         ("cq weight table", _selftest_cq),
         ("cq history kernel", _selftest_cq_history),
+        ("spectral transform rows", _selftest_transform_rows),
         ("mittag-leffler values", _selftest_mlf),
         ("scalar solver order", _selftest_solver_order),
     ]

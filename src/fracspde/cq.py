@@ -8,10 +8,9 @@ with step tau uses the coefficients of ((1-z)/tau)^a:
 
 ``cq_weights`` computes them by the stable two-term recurrence, as one
 cumulative product;
-``apply_cq_history`` is ``solver.step``'s history sum, for one path or a
-batch of them (a run sums the states before each 16-step block with
-blocked GEMMs in ``solver``, and a batch its block with a width-dependent
-gemv).
+``apply_cq_history`` is ``solver.step``'s history sum over the states of
+the current 16-step block, for one path or a batch of them (a run sums the
+states before the block with blocked GEMMs in ``solver``).
 The two ``weights_by_*`` functions are independent oracles (power-series
 composition in high precision, and FFT coefficient extraction on a
 circle) kept for the self-test and the test suite.

@@ -61,9 +61,10 @@ __all__ = [
     "emit_table",
 ]
 
-#: trajectories per batch; fixed so that results do not depend on the
-#: worker count (every batch draws its own seeded streams and the final
-#: reduction runs over a preallocated array in trajectory order).
+#: trajectories per batch.  A trajectory's values depend only on its
+#: streams, not on its batch or the worker count (every batch draws its own
+#: seeded streams, a path has the same bits in a batch of any width, and
+#: the final reduction runs over a preallocated array in trajectory order).
 _CHUNK = 25
 
 _AXES = ("time", "space")
@@ -149,7 +150,9 @@ class ExperimentConfig(ModelParams):
         sampler's per-call buffers and the per-step work
         arrays.  The study also keeps every trajectory's squared error at
         every level, 8 B x levels x n_traj, and one cached (N, 2N) sine
-        matrix, 16 B x N^2, per mode count.
+        matrix, 16 B x N^2, per mode count.  ``spectral`` also caches the
+        matrix's C-contiguous transpose, of the same size, which this
+        count leaves out.
         """
         finest = self.discretization(2 * self.levels[-1])
         per_chunk = (3 * 8 * (finest.n_steps + 1) * min(self.n_traj, _CHUNK)

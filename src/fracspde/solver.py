@@ -32,9 +32,9 @@ holds no second array of that size.  Finiteness is checked once per
 ``_BLOCK`` steps and at the last step, and the first non-finite entry in
 row order names the step.  Up to ``_BLOCK - 1`` steps may run on a
 non-finite state before the check, so the loop runs with numpy's
-invalid-value warnings off: the SolverError reports the state.  The
-update is written only in ``_solve``.  Its CQ history sum comes in two
-parts, for both paths:
+invalid-value warnings off: the SolverError reports the state.  Every
+step of both paths is one call of ``step``, where the update is written.
+Its CQ history sum comes in two parts:
 
 * Before the block: ``_far_history_sums``.  At the start of each block of
   ``_BLOCK`` = 16 steps, GEMMs of a Toeplitz block of weights with the
@@ -47,12 +47,14 @@ parts, for both paths:
   of 8 columns, since OpenBLAS takes an edge kernel with other bits for
   the last columns of any other count.  So a column's bits do not depend
   on the column count, and the modes of a linear run stay bitwise
-  decoupled.
-* Within the block: one path calls ``step`` with the block's states only,
-  the far sum coming in through its forcing, and ``step`` sums them with
-  ``cq.apply_cq_history``, an einsum that adds d_1 u^{n-1} first and gives
-  every mode the same arithmetic.  A batch adds a gemv over the block's
-  states, whose bits can change with the batch width.
+  decoupled.  The far sum comes into ``step`` through its forcing.
+* Within the block: ``step`` sums the block's states with
+  ``cq.apply_cq_history``, an einsum that adds d_1 u^{n-1} first and
+  gives every column the same arithmetic.
+
+With the transforms of ``spectral``, whose rows do not depend on the rows
+beside them either, a path has the same bits alone, in a batch of any
+width at any position, and at any BLAS thread count.
 
 At L=2048, N=128 and one BLAS thread, one trajectory took 0.22-0.26 s
 with the einsum over its whole history and 0.11-0.12 s with the far sums
@@ -69,6 +71,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import cq, spectral
 
@@ -167,14 +170,6 @@ class SolverError(RuntimeError):
         return type(self), (self.mode, self.time_level, self.trajectory, self.context)
 
 
-def _solve(prev: np.ndarray, hist_sum, lam_s: np.ndarray, tau: float, denom,
-           forcing_coeffs, noise_coeffs, out=None) -> np.ndarray:
-    """u^n from u^{n-1} = ``prev``, the CQ history sum and denom = 1/tau + d_0 lam_s,
-    written into ``out`` if given; ``noise_coeffs`` may be ``out`` itself."""
-    rhs = prev / tau - lam_s * hist_sum + forcing_coeffs + noise_coeffs
-    return np.divide(rhs, denom, out=out)
-
-
 def step(history: np.ndarray, weights: np.ndarray, lam_s: np.ndarray, tau: float,
          forcing_coeffs, noise_coeffs) -> np.ndarray:
     """One implicit step: history rows are u^{n0-1}..u^{n-1}, each of shape
@@ -182,66 +177,58 @@ def step(history: np.ndarray, weights: np.ndarray, lam_s: np.ndarray, tau: float
 
     Row 0 of ``history`` is not summed, so ``history`` = u^0..u^{n-1} is
     the whole step.  With n0 > 1 the sum over u^1..u^{n0-1} must come in
-    through ``forcing_coeffs``, as -lam_s times it: that is how
-    ``run_trajectory`` steps, with n0 the first step of n's block.
+    through ``forcing_coeffs``, as -lam_s times it: that is how ``_advance``
+    steps both paths, with n0 the first step of n's block.
     """
     hist_sum = cq.apply_cq_history(weights[1:], history[1:])
-    return _solve(history[-1], hist_sum, lam_s, tau, 1.0 / tau + weights[0] * lam_s,
-                  forcing_coeffs, noise_coeffs)
+    rhs = history[-1] / tau - lam_s * hist_sum + forcing_coeffs + noise_coeffs
+    return rhs / (1.0 / tau + weights[0] * lam_s)
 
 
-def _far_history_sums(flat: np.ndarray, weights: np.ndarray):
+def _far_history_sums(states: np.ndarray, weights: np.ndarray):
     """Yield, for n = 1..L, the part of the n-th history sum over the states
     before n's block: sum_{j=1}^{n0-1} d_{n-j} u^j, n0 being the block's
-    first step.  Each row is a view that the next block overwrites.
+    first step.  Each sum has the shape of a state and is a view that the
+    next block overwrites.
 
-    ``flat`` is the (L, width) buffer whose row j-1 is u^j, read as the
-    caller fills it: a block's sums need only the rows before the block.
-    At the block's start, GEMMs give them one panel of at most ``_PANEL``
-    states at a time, added in panel order, on the leading columns in place
-    and on the at most 7 others padded to 8 (see the module docstring).
-    """
-    n_steps, width = flat.shape
-    lead = width - width % 8
-    far = np.zeros((_BLOCK, width))                   # the first block has none
-    pad, pad_sums = np.zeros((_PANEL, 8)), np.zeros((_BLOCK, 8))
-    for n0 in range(1, n_steps + 1, _BLOCK):
-        rows = min(_BLOCK, n_steps + 1 - n0)
-        for p0 in range(1, n0, _PANEL):
-            p1 = min(p0 + _PANEL, n0)
-            toeplitz = weights[np.arange(n0, n0 + rows)[:, None] - np.arange(p0, p1)]
-            gemms = [(flat[p0 - 1:p1 - 1, :lead], far[:rows, :lead])]
-            if lead < width:
-                pad[:p1 - p0, :width - lead] = flat[p0 - 1:p1 - 1, lead:]
-                gemms.append((pad[:p1 - p0], pad_sums[:rows]))
-            for panel, sums in gemms:
-                if p0 == 1:
-                    np.matmul(toeplitz, panel, out=sums)
-                else:
-                    sums += toeplitz @ panel
-        far[:rows, lead:] = pad_sums[:rows, :width - lead]
-        yield from far[:rows]
-
-
-def _blocked_history_sums(states: np.ndarray, weights: np.ndarray):
-    """Yield a batch's history sums sum_{j=1}^{n-1} d_{n-j} u^j for n = 1..L.
-
-    ``states`` is the C-contiguous (L, n_traj, N) buffer whose row j-1 is
-    u^j, and is read as the caller fills it: the n-th sum needs rows up to
-    n-2 only.  A buffer that is not C-contiguous raises a ValueError: its
-    flattened rows would be a copy, and the sums would read stale states.
-    Each sum is the block's far sum (:func:`_far_history_sums`) plus a gemv
-    over the states of its own block.
+    ``states`` is the C-contiguous (L, ...) buffer whose row j-1 is u^j,
+    read as the caller fills it: a block's sums need only the rows before
+    the block.  A buffer that is not C-contiguous raises a ValueError: its
+    flattened (L, width) rows would be a copy, and the sums would read
+    stale states.  At the block's start, GEMMs give the sums one panel of
+    at most ``_PANEL`` states at a time, added in panel order, on the
+    leading columns in place and on the at most 7 others padded to 8 (see
+    the module docstring).
     """
     if not states.flags.c_contiguous:
         raise ValueError("the states buffer must be C-contiguous")
     n_steps = states.shape[0]
     flat = states.reshape(n_steps, -1)                # row j-1 is u^j
-    w_rev = weights[:0:-1].copy()                     # d_{L-1} .. d_1
-    for i, far in enumerate(_far_history_sums(flat, weights)):
-        r = i % _BLOCK
-        near = w_rev[n_steps - 1 - r:] @ flat[i - r:i]                # d_r .. d_1
-        yield (far + near).reshape(states.shape[1:])
+    width = flat.shape[1]
+    lead = width - width % 8
+    far = np.zeros((_BLOCK, width))                   # the first block has none
+    pad, pad_sums = np.zeros((_PANEL, 8)), np.zeros((_BLOCK, 8))
+    scratch, pad_scratch = np.empty((_BLOCK, width)), np.empty((_BLOCK, 8))
+    # row k holds d_{K-k} .. d_{K-k-_PANEL+1}, K = len(weights) - 1, and
+    # zeros past d_0; a Toeplitz block is a copy of consecutive rows
+    windows = sliding_window_view(np.concatenate([weights[::-1], np.zeros(_PANEL)]), _PANEL)
+    for n0 in range(1, n_steps + 1, _BLOCK):
+        rows = min(_BLOCK, n_steps + 1 - n0)
+        for p0 in range(1, n0, _PANEL):
+            p1 = min(p0 + _PANEL, n0)
+            k0 = len(weights) - 1 - n0 + p0           # row r: d_{n0+r-p0} ..
+            toeplitz = np.ascontiguousarray(windows[k0 - rows + 1:k0 + 1][::-1, :p1 - p0])
+            gemms = [(flat[p0 - 1:p1 - 1, :lead], far[:rows, :lead], scratch[:rows, :lead])]
+            if lead < width:
+                pad[:p1 - p0, :width - lead] = flat[p0 - 1:p1 - 1, lead:]
+                gemms.append((pad[:p1 - p0], pad_sums[:rows], pad_scratch[:rows]))
+            for panel, sums, product in gemms:
+                if p0 == 1:
+                    np.matmul(toeplitz, panel, out=sums)
+                else:
+                    sums += np.matmul(toeplitz, panel, out=product)
+        far[:rows, lead:] = pad_sums[:rows, :width - lead]
+        yield from far[:rows].reshape((rows,) + states.shape[1:])
 
 
 def _check_finite(rows: np.ndarray, first: int) -> None:
@@ -264,26 +251,20 @@ def _advance(params: ModelParams, disc: Discretization, states: np.ndarray) -> n
     n_modes, tau, n_steps = disc.n_modes, disc.tau, disc.n_steps
     lam_s = spectral.eigenvalues(n_modes) ** params.s
     weights = cq.cq_weights(1.0 - params.alpha, tau, n_steps)
-    denom = 1.0 / tau + weights[0] * lam_s
     amp = np.arange(1, n_modes + 1, dtype=float) ** (0.5 * params.m)
     f = params.f
     rows = states[1:]                         # row n-1: u^n
     # the noise forcing amp * inc / tau, rounded as a per-step product is
     np.multiply(amp, rows, out=rows)
     np.divide(rows, tau, out=rows)
-    batch = states.ndim == 3
-    sums = _blocked_history_sums(rows, weights) if batch else _far_history_sums(rows, weights)
     with np.errstate(invalid="ignore"):       # steps after a bad one meet inf
-        for n in range(1, n_steps + 1):
-            prev = states[n - 1]
+        for n, far in enumerate(_far_history_sums(rows, weights), 1):
             fterm = 0.0 if f is None else spectral.project(
-                f(spectral.synthesize(prev, 2 * n_modes)), n_modes)
+                f(spectral.synthesize(states[n - 1], 2 * n_modes)), n_modes)
             n0 = n - (n - 1) % _BLOCK         # the first step of n's block
-            if batch:
-                _solve(prev, next(sums), lam_s, tau, denom, fterm, states[n], out=states[n])
-            else:                             # step sums the block, the far sum is forcing
-                states[n] = step(states[n0 - 1:n], weights, lam_s, tau,
-                                 fterm - lam_s * next(sums), states[n])
+            # step sums the block, the far sum comes in as forcing
+            states[n] = step(states[n0 - 1:n], weights, lam_s, tau,
+                             fterm - lam_s * far, states[n])
             if n == n0 + _BLOCK - 1 or n == n_steps:
                 _check_finite(states[n0:n + 1], n0)
     return states
@@ -334,17 +315,16 @@ def run_ensemble(params: ModelParams, disc: Discretization, increments: np.ndarr
     """Advance a batch of trajectories; returns final coefficients (n_traj, N).
 
     ``increments`` is time-major, (L, n_traj, N), as ``fbm.mode_increments``
-    draws it.  Each path follows ``run_trajectory``'s scheme and takes the
-    same GEMM sums over the states before each block, but sums the block
-    itself with a gemv (``_blocked_history_sums``): a path equals its
-    ``run_trajectory`` run to rounding, its bits can change with the batch
-    width, and they do not change with the BLAS thread count.  The batch steps in a new
-    (L+1, n_traj, N) array, or in ``out``, a writeable C-contiguous float64
-    array of that shape, which holds u^0..u^L on return.  ``increments``
-    is left as it is unless it overlaps ``out``; as ``out[1:]`` itself,
-    the batch steps in its own draw.  The result is a copy that owns its
-    memory, not a view of the states, so a new array is freed when this
-    returns.
+    draws it.  Each path steps through the same kernels as in
+    ``run_trajectory``, so row i is bit for bit the last state of
+    ``run_trajectory`` on ``increments[:, i]``, whatever the batch width,
+    the row's position in it and the BLAS thread count.  The batch steps
+    in a new (L+1, n_traj, N) array, or in ``out``, a writeable
+    C-contiguous float64 array of that shape, which holds u^0..u^L on
+    return.  ``increments`` is left as it is unless it overlaps ``out``;
+    as ``out[1:]`` itself, the batch steps in its own draw.  The result is
+    a copy that owns its memory, not a view of the states, so a new array
+    is freed when this returns.
     """
     increments = np.asarray(increments, dtype=float)
     if increments.ndim != 3 or increments.shape[::2] != (disc.n_steps, disc.n_modes):

@@ -14,10 +14,18 @@ On that grid the sampled eigenfunctions are discretely orthonormal, so
 ``project`` and ``synthesize`` are exact inverses on span{phi_1..phi_N}
 whenever N <= M, with the quadrature exact on the resolved span.
 
-Both multiply by the cached, read-only sine matrix
-B[k-1, j-1] = phi_k(x_j), shape (N, M): synthesis is c @ B and projection
-is v @ B.T / (M+1).  The matrix holds 8*N*M bytes, 16*N^2 on the solver's
-M = 2N grid.
+Both multiply by a cached, read-only sine matrix B[k-1, j-1] = phi_k(x_j):
+synthesis is c @ B, with B of shape (N, M), and projection is
+v @ B.T / (M+1), with B.T kept as its own C-contiguous (M, N) copy.  The
+two hold 8*N*M bytes each, 16*N^2 on the solver's M = 2N grid.
+
+A row's result does not depend on how many rows are transformed with it.
+OpenBLAS gives a one-row product (gemv) and a product with a transposed
+operand at small row counts other bits than a GEMM row, so the
+transposed matrix is a C-contiguous copy and one row goes through a
+two-row product with a zero row.  Rows are the entries of the leading
+axes, so a path stepped alone and the same path in a batch get the same
+bits.
 
 Projecting a *nonlinear* function of a field is only alias-free when the
 grid oversamples the modes; ``project`` therefore rejects N > M/2.
@@ -49,6 +57,25 @@ def _sine_matrix(n_modes: int, n_points: int) -> np.ndarray:
     return mat
 
 
+@functools.lru_cache(maxsize=16)
+def _projection_matrix(n_modes: int, n_points: int) -> np.ndarray:
+    """Read-only C-contiguous copy of the (M, N) transpose of the sine matrix."""
+    mat = np.ascontiguousarray(_sine_matrix(n_modes, n_points).T)
+    mat.setflags(write=False)
+    return mat
+
+
+def _rows_times(values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``values @ matrix`` over the last axis, each row with the bits it has
+    in a GEMM of two rows or more (see the module docstring)."""
+    shape = values.shape[:-1] + matrix.shape[1:]
+    if values.size == values.shape[-1]:         # one row: a zero row below it
+        padded = np.zeros((2, values.shape[-1]))
+        padded[0] = values
+        return (padded @ matrix)[0].reshape(shape)
+    return (values.reshape(-1, values.shape[-1]) @ matrix).reshape(shape)
+
+
 def eigenvalues(n_modes: int) -> np.ndarray:
     """Eigenvalues [lambda_1, ..., lambda_N], lambda_k = (k*pi)^2."""
     if n_modes < 1:
@@ -75,7 +102,7 @@ def project(grid_values: np.ndarray, n_modes: int) -> np.ndarray:
         raise ValueError(
             f"n_modes={n_modes} exceeds the alias-free capacity M/2={m / 2:g} "
             f"of a grid with {m} nodes")
-    return grid_values @ _sine_matrix(n_modes, m).T / (m + 1)
+    return _rows_times(grid_values, _projection_matrix(n_modes, m)) / (m + 1)
 
 
 def synthesize(coeffs: np.ndarray, n_points: int) -> np.ndarray:
@@ -88,4 +115,4 @@ def synthesize(coeffs: np.ndarray, n_points: int) -> np.ndarray:
     n = coeffs.shape[-1]
     if n_points < n:
         raise ValueError(f"grid with {n_points} nodes cannot carry {n} modes")
-    return coeffs @ _sine_matrix(n, n_points)
+    return _rows_times(coeffs, _sine_matrix(n, n_points))

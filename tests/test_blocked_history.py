@@ -1,10 +1,11 @@
 """The blocked CQ history sums against independent oracles.
 
-Both paths take the sums over the states before each 16-step block from
-``solver._far_history_sums`` (GEMM panels of at most 256 states).  Within
-the block, ``solver.run_ensemble`` adds a gemv and ``solver.run_trajectory``
-the einsum of ``solver.step``.  These tests pick step counts on both sides
-of the block (16) and panel (256) edges.
+Both paths sum each step's history in two parts: the sums over the states
+before its 16-step block from ``solver._far_history_sums`` (GEMM panels of
+at most 256 states), and the block itself with the einsum of
+``solver.step``.  These tests pick step counts on both sides of the block
+(16) and panel (256) edges, and check that a path's bits do not depend on
+the batch it runs in.
 """
 
 import numpy as np
@@ -24,6 +25,13 @@ def _params(**kw):
     return ModelParams(**base)
 
 
+def _blas_threads_setter():
+    functions = experiments._openblas_thread_functions()
+    if functions is None:
+        pytest.skip("numpy's BLAS does not export openblas_set_num_threads")
+    return functions
+
+
 def _dense_history_sums(states, weights):
     """Row n-1 is sum_{j=1}^{n-1} d_{n-j} u^j, for n = 1..L."""
     n_steps = states.shape[0] - 1
@@ -34,10 +42,12 @@ def _dense_history_sums(states, weights):
 
 @pytest.mark.parametrize("n_steps", EDGE_STEPS + [512, 530])
 def test_blocked_sums_match_the_dense_toeplitz_product(n_steps):
+    # the far sums before each block plus step's einsum over the block
     rng = np.random.default_rng(n_steps)
     weights = cq.cq_weights(0.7, 0.01 / n_steps, n_steps)
     states = rng.standard_normal((n_steps + 1, 3, 5))
-    got = np.array(list(solver._blocked_history_sums(states[1:], weights)))
+    got = np.array([far + cq.apply_cq_history(weights[1:], states[n - (n - 1) % solver._BLOCK:n])
+                    for n, far in enumerate(solver._far_history_sums(states[1:], weights), 1)])
     assert got.shape == (n_steps, 3, 5)
     expect = _dense_history_sums(states, weights)
     # relative to the sum of |terms|, since some sums cancel
@@ -51,7 +61,7 @@ def test_blocked_sums_refuse_a_buffer_that_is_not_c_contiguous():
     weights = cq.cq_weights(0.7, 0.01 / 20, 20)
     states = np.moveaxis(np.zeros((3, 20, 5)), 1, 0)
     with pytest.raises(ValueError, match="C-contiguous"):
-        next(solver._blocked_history_sums(states, weights))
+        next(solver._far_history_sums(states, weights))
 
 
 @pytest.mark.parametrize("nonlinearity", ["sin", "zero"])
@@ -63,7 +73,34 @@ def test_ensemble_rows_match_trajectory_runs(nonlinearity, n_steps):
     batch = solver.run_ensemble(params, disc, inc)
     for i in range(4):
         single = solver.run_trajectory(params, disc, inc[:, i])[-1]
-        np.testing.assert_allclose(batch[i], single, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(batch[i], single)
+
+
+@pytest.mark.parametrize("nonlinearity", ["sin", "zero"])
+@pytest.mark.parametrize(("n_modes", "n_steps"), [(5, 300), (17, 40)])
+def test_a_path_has_the_same_bits_in_every_batch(n_modes, n_steps, nonlinearity):
+    # flat widths n_traj * N on both sides of the 8-column pad, step counts
+    # across the 16-step block, and 300 steps across the 256-state panel
+    get_threads, set_threads = _blas_threads_setter()
+    params = _params(nonlinearity=nonlinearity)
+    disc = Discretization(n_modes=n_modes, n_steps=n_steps, tau=0.01 / n_steps)
+    inc = fbm.mode_increments(params.hurst, disc.tau, n_steps, 5, n_modes, range(9))
+    before = get_threads()
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            full = solver.run_ensemble(params, disc, inc)
+            for width in (1, 2, 3, 5, 8):
+                for lo in (0, 9 - width):
+                    np.testing.assert_array_equal(
+                        solver.run_ensemble(params, disc, inc[:, lo:lo + width]),
+                        full[lo:lo + width], err_msg=f"{threads} threads, rows {lo}+{width}")
+            for i in range(9):
+                np.testing.assert_array_equal(
+                    solver.run_trajectory(params, disc, inc[:, i])[-1], full[i],
+                    err_msg=f"{threads} threads, path {i}")
+    finally:
+        set_threads(before)
 
 
 @pytest.mark.parametrize("n_steps", [17, 257, 300])
@@ -123,13 +160,6 @@ def test_linear_trajectory_modes_do_not_depend_on_the_mode_count(n_steps):
         part = solver.run_trajectory(params, Discretization(n_modes, n_steps, tau),
                                      inc[:, :n_modes])
         np.testing.assert_array_equal(part, joint[:, :n_modes], err_msg=f"N={n_modes}")
-
-
-def _blas_threads_setter():
-    functions = experiments._openblas_thread_functions()
-    if functions is None:
-        pytest.skip("numpy's BLAS does not export openblas_set_num_threads")
-    return functions
 
 
 @pytest.mark.parametrize("nonlinearity", ["sin", "zero"])

@@ -63,6 +63,30 @@ def test_increment_covariance_psd():
         assert eigs.min() > -1e-12 * eigs.max()
 
 
+@pytest.mark.parametrize("h", [0.1, 0.3, 0.8, 0.9999])
+def test_increment_covariance_keeps_its_digits_at_long_lags(h):
+    # the second difference of j^2H cancels about log10(j^2) digits when
+    # taken directly; against 50-digit arithmetic on the same formula
+    import mpmath as mp
+
+    lags = np.array([0, 1, 2, 3, 7, 100, 1000, 4097, 65535, 65536])
+    got = fbm.increment_covariance(h, 0.5, lags)
+    with mp.workdps(50):
+        two_h = 2 * mp.mpf(h)
+        for lag, value in zip(lags, got):
+            j = mp.mpf(int(lag))
+            exact = mp.mpf(0.5) ** two_h / 2 * (
+                (j + 1) ** two_h + abs(j - 1) ** two_h - 2 * j ** two_h)
+            assert abs(value - float(exact)) <= 1e-10 * abs(float(exact)), lag
+
+
+def test_circulant_root_takes_h_near_one_at_long_l():
+    # the exact embedding is positive here (smallest/largest eigenvalue
+    # about 1e-9); a covariance that lost digits made it look negative
+    root = fbm._circulant_root(0.9999, 1.0, 65536)
+    assert root.shape == (65537,) and np.all(np.isfinite(root))
+
+
 def test_samplers_deterministic():
     for sampler in (fbm.sample_fbm_cholesky, fbm.sample_fbm_circulant):
         a = sampler(0.7, 0.5, 16, np.random.default_rng(99), 4)

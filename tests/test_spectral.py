@@ -75,6 +75,28 @@ def test_batched_shapes():
     np.testing.assert_allclose(back, coeffs, atol=1e-13)
 
 
+@pytest.mark.parametrize("n_modes", [8, 64, 100, 128])
+def test_a_row_has_the_same_bits_in_every_batch(n_modes):
+    # a one-row product (gemv) and a transposed operand at small row
+    # counts would give other bits than a GEMM row; both paths of the
+    # solver rely on a row's bits not depending on the rows beside it
+    rng = np.random.default_rng(n_modes)
+    coeffs = rng.standard_normal((30, n_modes))
+    grid = np.sin(rng.standard_normal((30, 2 * n_modes)))
+    values = spectral.synthesize(coeffs, 2 * n_modes)
+    back = spectral.project(grid, n_modes)
+    for rows in range(1, 31):
+        for lo in (0, 30 - rows):
+            part = slice(lo, lo + rows)
+            np.testing.assert_array_equal(spectral.synthesize(coeffs[part], 2 * n_modes),
+                                          values[part], err_msg=f"synthesize {part}")
+            np.testing.assert_array_equal(spectral.project(grid[part], n_modes),
+                                          back[part], err_msg=f"project {part}")
+    for i in (0, 29):
+        np.testing.assert_array_equal(spectral.synthesize(coeffs[i], 2 * n_modes), values[i])
+        np.testing.assert_array_equal(spectral.project(grid[i], n_modes), back[i])
+
+
 @settings(max_examples=25, deadline=None)
 @given(n_modes=st.integers(1, 24), seed=st.integers(0, 2 ** 31))
 def test_round_trip_property(n_modes, seed):

@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__, cq, fbm, mlf, solver, spectral
 from .experiments import ExperimentConfig, emit_table, run_convergence_study
 
-__all__ = ["parse_config", "serialize_config", "main"]
+__all__ = ["parse_config", "main"]
 
 #: config key -> its ExperimentConfig field, in field order
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
@@ -86,17 +86,6 @@ def parse_config(text: str, overrides=()) -> ExperimentConfig:
     if missing:
         raise ValueError(f"missing required config key {missing[0]!r}")
     return ExperimentConfig(**values)
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    """Inverse of :func:`parse_config` (up to formatting)."""
-    lines = []
-    for key in _FIELDS:
-        value = getattr(config, key)
-        if key == "levels":
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 def _write_manifest(out_dir: Path, config: ExperimentConfig, command: str) -> None:

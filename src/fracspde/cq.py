@@ -11,9 +11,10 @@ cumulative product;
 ``apply_cq_history`` is ``solver.step``'s history sum over the states of
 the current 16-step block, for one path or a batch of them (a run sums the
 states before the block with blocked GEMMs in ``solver``).
-The two ``weights_by_*`` functions are independent oracles (power-series
-composition in high precision, and FFT coefficient extraction on a
-circle) kept for the self-test and the test suite.
+``weights_by_series`` is an independent oracle (power-series composition
+in high precision) kept for the self-test and the test suite; the tests'
+second oracle, FFT coefficient extraction on a circle, is
+``weights_by_contour`` in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -25,13 +26,10 @@ __all__ = [
     "cq_weights",
     "apply_cq_history",
     "weights_by_series",
-    "weights_by_contour",
 ]
 
 #: decimal digits of the series oracle's mpmath arithmetic
 _SERIES_DPS = 50
-#: points on the contour oracle's circle
-_CONTOUR_POINTS = 4096
 
 
 def cq_weights(a: float, tau: float, n_weights: int) -> np.ndarray:
@@ -90,17 +88,3 @@ def weights_by_series(a: float, tau: float, n_weights: int) -> np.ndarray:
             out[j] = acc / j
         scale = mp.mpf(tau) ** (-aa)
         return np.array([float(b * scale) for b in out])
-
-
-def weights_by_contour(a: float, tau: float, n_weights: int) -> np.ndarray:
-    """Oracle: Cauchy coefficient extraction of ((1-z)/tau)^a on |z| = r.
-
-    d_j = (1/(M r^j)) sum_l g(r e^{2 pi i l/M}) e^{-2 pi i j l/M}.  Accuracy
-    is limited by the radius/rounding tradeoff (~1e-8 relative at M =
-    4096 points), so this is the *secondary* oracle.
-    """
-    r = 1e-10 ** (1.0 / _CONTOUR_POINTS)
-    z = r * np.exp(2j * np.pi * np.arange(_CONTOUR_POINTS) / _CONTOUR_POINTS)
-    g = ((1.0 - z) / tau) ** a
-    coeffs = np.fft.fft(g).real / _CONTOUR_POINTS
-    return coeffs[:n_weights] / r ** np.arange(n_weights)

@@ -40,9 +40,11 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 import operator
 import os
 import pickle
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +139,13 @@ class ExperimentConfig(ModelParams):
             raise ValueError(f"n_traj must be >= 2, got {self.n_traj}")
         if not 0 <= self.seed < 2 ** 64:     # trajectory.bin stores it as <u8
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        # the noise variance k^m of the widest mode count, and the squared
+        # errors with it, must stay finite
+        n_max = self.discretization(2 * self.levels[-1]).n_modes
+        log_max = math.log(sys.float_info.max)
+        if self.m * math.log(n_max) > log_max:
+            raise ValueError(f"m={self.m} overflows the noise variance k^m at "
+                             f"N={n_max} modes: m * ln(N) must be at most {log_max:.2f}")
         self._check_memory()
 
     def _check_memory(self) -> None:
@@ -149,10 +158,9 @@ class ExperimentConfig(ModelParams):
         The three counted here are a loose bound, with room for the fGn
         sampler's per-call buffers and the per-step work
         arrays.  The study also keeps every trajectory's squared error at
-        every level, 8 B x levels x n_traj, and one cached (N, 2N) sine
-        matrix, 16 B x N^2, per mode count.  ``spectral`` also caches the
-        matrix's C-contiguous transpose, of the same size, which this
-        count leaves out.
+        every level, 8 B x levels x n_traj, and two cached sine matrices
+        per mode count, ``spectral``'s (N, 2N) matrix and its C-contiguous
+        transpose: 32 B x N^2.
         """
         finest = self.discretization(2 * self.levels[-1])
         per_chunk = (3 * 8 * (finest.n_steps + 1) * min(self.n_traj, _CHUNK)
@@ -160,7 +168,7 @@ class ExperimentConfig(ModelParams):
         accumulator = 8 * len(self.levels) * self.n_traj
         mode_counts = {self.discretization(level).n_modes
                        for level in self.levels + (2 * self.levels[-1],)}
-        sine_matrices = sum(16 * n * n for n in mode_counts)
+        sine_matrices = sum(32 * n * n for n in mode_counts)
         try:
             physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, ValueError, OSError):   # platform does not say

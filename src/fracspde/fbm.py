@@ -47,7 +47,6 @@ from collections.abc import Sequence
 import numpy as np
 
 __all__ = [
-    "fbm_covariance",
     "increment_covariance",
     "increment_covariance_matrix",
     "sample_fbm_cholesky",
@@ -59,14 +58,6 @@ __all__ = [
 def _check_hurst(h: float) -> None:
     if not 0.0 < h < 1.0:
         raise ValueError(f"Hurst index must be in (0, 1), got {h}")
-
-
-def fbm_covariance(t: float, u: float, h: float) -> float:
-    """Cov(W^H(t), W^H(u)) = (t^2H + u^2H - |t-u|^2H) / 2."""
-    _check_hurst(h)
-    if t < 0.0 or u < 0.0:
-        raise ValueError("fBm covariance requires nonnegative times")
-    return 0.5 * (t ** (2 * h) + u ** (2 * h) - abs(t - u) ** (2 * h))
 
 
 def increment_covariance(h: float, tau: float, lag: np.ndarray) -> np.ndarray:

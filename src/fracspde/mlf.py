@@ -7,7 +7,7 @@ cancellation (in nats) the Taylor series suffers — its largest term is of
 order exp(x^(1/a)) while the sum stays O(1):
 
 * Taylor series in mpmath with working precision scaled to the
-  cancellation budget (x^(1/a) <= SERIES_CROSSOVER_NATS), exact to well
+  cancellation budget (x^(1/a) <= _SERIES_CROSSOVER_NATS), exact to well
   below the target;
 * the asymptotic expansion E_{a,b}(-x) ~ -sum_{k>=1} (-x)^{-k} /
   Gamma(b - a k) with envelope-based truncation: raw term magnitudes
@@ -18,8 +18,9 @@ order exp(x^(1/a)) while the sum stays O(1):
   degraded values.
 
 Both regimes agree to ~1e-13 in the crossover band; accuracy against an
-independent spectral-integral representation is ~1e-12 over
-a in [0.1, 0.99], b in {1, 2}, |z| <= 1e4 (see tests).
+independent spectral-integral representation (``mittag_leffler_integral``
+in ``tests/oracles.py``) is ~1e-12 over a in [0.1, 0.99], b in {1, 2},
+|z| <= 1e4 (see ``tests/test_mlf.py``).
 """
 from __future__ import annotations
 
@@ -28,16 +29,12 @@ import math
 __all__ = [
     "MittagLefflerError",
     "mittag_leffler",
-    "mittag_leffler_integral",
     "linear_mode_reference",
-    "SERIES_CROSSOVER_NATS",
 ]
 
-SERIES_CROSSOVER_NATS = 35.0
+_SERIES_CROSSOVER_NATS = 35.0
 _LOG_PI = math.log(math.pi)
 _REL_TARGET = 1e-11
-#: decimal digits of the integral oracle's mpmath arithmetic
-_INTEGRAL_DPS = 30
 
 
 class MittagLefflerError(ArithmeticError):
@@ -120,46 +117,9 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> float:
     if alpha == 1.0:
         # exact special cases: E_{1,1} = exp, E_{1,2}(z) = (e^z - 1)/z
         return math.exp(z) if beta == 1.0 else math.expm1(z) / z
-    if (-z) ** (1.0 / alpha) <= SERIES_CROSSOVER_NATS:
+    if (-z) ** (1.0 / alpha) <= _SERIES_CROSSOVER_NATS:
         return _series(alpha, beta, z)
     return _asymptotic(alpha, beta, z)
-
-
-def mittag_leffler_integral(alpha: float, beta: float, z: float) -> float:
-    """Independent oracle: completely-monotone spectral representation.
-
-    E_{a,1}(-x) = (sin(pi a)/(pi a)) * int_0^inf exp(-y q^{1/a}) /
-    (q^2 + 2 q cos(pi a) + 1) dq with y = x^{1/a} (after substituting
-    q = r^a in the classical kernel).  For beta = 2, integrating the
-    identity E_{a,2}(-x) = int_0^1 E_{a,1}(-x s^a) ds under the q-integral
-    replaces the exponential by (1 - exp(-t))/t with t = y q^{1/a}.
-    Used only as a cross-check; slow but implementation-independent.
-    """
-    _check_params(alpha, beta, z)
-    if alpha == 1.0:
-        raise ValueError("integral representation requires alpha < 1")
-    import mpmath as mp
-
-    x = -z
-    if x == 0.0:
-        return 1.0
-    with mp.workdps(_INTEGRAL_DPS):
-        a = mp.mpf(alpha)
-        y = mp.mpf(x) ** (1 / a)
-        sin_a, cos_a = mp.sinpi(a), mp.cospi(a)
-        prefactor = sin_a / (mp.pi * a)
-        if beta == 1.0:
-            def kernel(q):
-                return prefactor * mp.e ** (-y * q ** (1 / a)) / ((q + cos_a) ** 2 + sin_a ** 2)
-        else:
-            def kernel(q):
-                t = y * q ** (1 / a)
-                damp = (1 - mp.e ** (-t)) / t if t > mp.mpf("1e-10") else 1 - t / 2
-                return prefactor * damp / ((q + cos_a) ** 2 + sin_a ** 2)
-        # knot where the exponential factor dies, so quad sees the support
-        q_cut = (40 / y) ** a
-        knots = sorted({mp.mpf(0), min(max(q_cut, mp.mpf("1e-6")), mp.mpf("1e6")), mp.mpf(1)})
-        return float(mp.quad(kernel, knots + [mp.inf]))
 
 
 def linear_mode_reference(lambda_s: float, alpha: float, forcing: float,

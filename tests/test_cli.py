@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from fracspde import cli, solver
-from fracspde.cli import parse_config, serialize_config
+from fracspde.cli import parse_config
 from fracspde.experiments import ExperimentConfig
 from fracspde.solver import ModelParams
+from oracles import serialize_config
 
 MINIMAL = """
 # Table-1-style temporal study, desk scale
@@ -343,6 +344,25 @@ def test_invalid_override_returns_nonzero(tmp_path, capsys):
                    "--out", str(tmp_path / "o"), "--set", "axis=sideways"])
     assert rc == 1
     assert "axis" in capsys.readouterr().err
+
+
+# at N=64 modes the noise variance k^m overflows above m = 709.78 / ln 64 = 170.7:
+# at m=400 the amplitudes k^(m/2) overflow too, at m=250 only the squared errors
+@pytest.mark.parametrize("m", [400, 250, 170])
+def test_overflowing_m_exits_1_before_out_is_created(tmp_path, capsys, m):
+    cfg_path = _write_tiny_config(tmp_path, fixed_other=64)
+    out = tmp_path / "o"
+    rc = cli.main(["study", "--config", str(cfg_path), "--out", str(out), "--set", f"m={m}"])
+    if m == 170:
+        assert rc == 0
+        errors = [float(row.split(",")[1])
+                  for row in (out / "table.csv").read_text().splitlines()[1:]]
+        assert np.all(np.isfinite(errors))
+    else:
+        assert rc == 1
+        assert f"m={m}.0 overflows the noise variance k^m at N=64 modes" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_selftest_passes(capsys):

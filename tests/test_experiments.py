@@ -184,7 +184,7 @@ def test_config_rejects_sine_matrices_beyond_physical_memory():
     # nonlinear term at N = 2**20 and 2**21 are not
     with pytest.raises(ValueError,
                        match=rf"mode counts \[{2 ** 20}, {2 ** 21}\] need "
-                             rf"{16 * (2 ** 40 + 2 ** 42)} bytes of sine matrices"):
+                             rf"{32 * (2 ** 40 + 2 ** 42)} bytes of sine matrices"):
         _config(axis="space", levels=(2 ** 20,), fixed_other=1, n_traj=2)
 
 

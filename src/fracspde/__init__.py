@@ -4,7 +4,7 @@ noise, plus Monte Carlo convergence-rate studies."""
 
 __version__ = "0.1.0"
 
-from . import cq, fbm, mlf, spectral  # noqa: E402,F401
+from . import cq, fbm, spectral  # noqa: E402,F401
 from .solver import Discretization, ModelParams, run_ensemble, run_trajectory  # noqa: E402,F401
 from .experiments import (  # noqa: E402,F401
     ExperimentConfig,

@@ -51,11 +51,14 @@ def cq_weights(a: float, tau: float, n_weights: int) -> np.ndarray:
     return w * tau ** (-a)
 
 
-def apply_cq_history(weights: np.ndarray, history: np.ndarray) -> np.ndarray:
+def apply_cq_history(weights: np.ndarray, history: np.ndarray, *,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """sum_{i=0}^{n-1} d_i * u^{n-i} for history = [u^1, ..., u^n].
 
     ``history`` has shape (n, ...); the sum runs over the first axis and
-    keeps the trailing ones (a 1-D history gives a numpy scalar).  The
+    keeps the trailing ones (a 1-D history gives a numpy scalar).  With
+    ``out``, a float64 array shaped ``history.shape[1:]``, the sum is
+    written there, with the same bits, and ``out`` is returned.  The
     terms are added in the order i = 0, 1, ..., n-1 for every trailing
     entry, so a column's result does not depend on how many columns are
     passed with it.  A BLAS product gives no such guarantee, and on a
@@ -66,7 +69,7 @@ def apply_cq_history(weights: np.ndarray, history: np.ndarray) -> np.ndarray:
     if n > weights.shape[0]:
         raise ValueError(
             f"history of length {n} exceeds weight table of length {weights.shape[0]}")
-    return np.einsum("i,i...->...", weights[:n], history[::-1])
+    return np.einsum("i,i...->...", weights[:n], history[::-1], out=out)
 
 
 def weights_by_series(a: float, tau: float, n_weights: int) -> np.ndarray:

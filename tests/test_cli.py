@@ -1,5 +1,9 @@
+import gc
 import importlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -371,3 +375,59 @@ def test_selftest_passes(capsys):
     assert out.count("ok ") >= 5
     assert "ok   cq history kernel: " in out
     assert "selftest passed" in out
+
+
+def _run_module(tmp_path, code_or_args, *, module=True):
+    """``python -m fracspde.cli ARGS`` (or ``python -c CODE``) in a fresh
+    interpreter with block-buffered output, as a pipe gets it."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["-m", "fracspde.cli", *code_or_args] if module else ["-c", code_or_args]
+    return subprocess.run([sys.executable, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_writes_a_trajectory_and_exits_0(tmp_path):
+    cfg_path = _write_tiny_config(tmp_path)
+    out = tmp_path / "o"
+    done = _run_module(tmp_path, ["trajectory", "--config", str(cfg_path), "--out", str(out)])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"wrote {out / 'trajectory.bin'} (9 levels x 6 modes)\n"
+    assert solver.load_trajectory(out / "trajectory.bin")[0].shape == (9, 6)
+
+
+def test_module_entry_exits_1_on_a_bad_config_key(tmp_path):
+    cfg_path = _write_tiny_config(tmp_path, colour="blue")
+    done = _run_module(tmp_path, ["trajectory", "--config", str(cfg_path),
+                                  "--out", str(tmp_path / "o")])
+    assert done.returncode == 1
+    assert done.stderr == "error: unknown config key 'colour'\n"
+
+
+def test_console_script_and_module_go_through_one_entry_that_freezes(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    module, _, name = pyproject["project"]["scripts"]["fracspde"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+    # python -m runs the module as __main__: the entry freezes the
+    # import's objects, then exits with main's status
+    cfg_path = _write_tiny_config(tmp_path)
+    probe = ("import gc, runpy, sys\n"
+             f"sys.argv = ['fracspde', 'trajectory', '--config', {str(cfg_path)!r}, "
+             f"'--out', {str(tmp_path / 'o')!r}]\n"
+             "try:\n"
+             "    runpy.run_module('fracspde.cli', run_name='__main__')\n"
+             "except SystemExit as exc:\n"
+             "    print('exit', exc.code, 'frozen', gc.get_freeze_count() > 0)\n")
+    done = _run_module(tmp_path, probe, module=False)
+    assert done.stdout.splitlines()[-1] == "exit 0 frozen True", done.stderr
+
+
+def test_main_leaves_the_collector_as_it_is(tmp_path):
+    # main runs in processes that go on: the tests, the traced benchmark
+    cfg_path = _write_tiny_config(tmp_path)
+    before = gc.get_freeze_count()
+    assert cli.main(["trajectory", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "o")]) == 0
+    assert gc.get_freeze_count() == before

@@ -367,3 +367,25 @@ def test_mode_increments_names_an_out_of_the_wrong_shape_or_dtype(out):
     with pytest.raises(ValueError, match=r"^out must be a writeable float64 array "
                                          r"shaped \(16, 3, 5\)"):
         fbm.mode_increments(0.3, 1e-3, 16, 2, 5, [4, 0, 9], out=out)
+
+
+def _stream_oracle(h, tau, n_steps, seed, n_modes, trajectories):
+    """(L, trajectories, modes) from one single-Generator call per stream."""
+    return np.stack([np.stack([fbm.sample_fbm_circulant(
+        h, tau, n_steps, fbm._stream(seed, k, traj))[0] for traj in trajectories], axis=-1)
+        for k in range(1, n_modes + 1)], axis=-1)
+
+
+# the modes are written a tile at a time: around one and two tiles
+@pytest.mark.parametrize("n_modes", [1, fbm._TILE - 1, fbm._TILE, fbm._TILE + 1,
+                                     2 * fbm._TILE + 3])
+def test_tiled_write_equals_the_stream_oracle(n_modes):
+    expected = _stream_oracle(0.3, 1 / 24, 24, 11, n_modes, [2, 0])
+    assert np.array_equal(fbm.mode_increments(0.3, 1 / 24, 24, 11, n_modes, [2, 0]),
+                          expected)
+    # and into storage that is no C-contiguous array
+    big = np.full((24, 2, 2 * n_modes + 1), np.nan)
+    out = big[:, :, 1::2]
+    assert fbm.mode_increments(0.3, 1 / 24, 24, 11, n_modes, [2, 0], out=out) is out
+    assert np.array_equal(out, expected)
+    assert np.isnan(big[:, :, ::2]).all()

@@ -35,3 +35,19 @@ def test_command_line_imports_no_test_code():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert set(json.loads(out.stdout)) & set(_TEST_ONLY) == set()
+
+
+def test_command_line_loads_neither_the_self_test_nor_mittag_leffler():
+    # the other commands compile and import neither in a fresh interpreter
+    src = str(Path(fracspde.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import json, sys\nimport fracspde.cli\n"
+             "print(json.dumps(sorted(name for name in sys.modules\n"
+             "                        if name.startswith('fracspde'))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    loaded = set(json.loads(out.stdout))
+    assert "fracspde.cli" in loaded
+    assert loaded & {"fracspde.selftest", "fracspde.mlf"} == set()
+    assert callable(importlib.import_module("fracspde.mlf").mittag_leffler)

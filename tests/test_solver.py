@@ -515,3 +515,33 @@ def test_trajectory_dump_codes_an_unhashable_callable_as_custom(tmp_path):
     raw = (tmp_path / "traj.bin").read_bytes()
     offset = 4 + solver._HEADER_DTYPE.fields["nonlinearity"][1]
     assert int.from_bytes(raw[offset:offset + 8], "little") == 2
+
+
+@pytest.mark.parametrize("n_traj", [1, 25])
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_step_writes_out_with_the_bits_of_a_new_array(n, n_traj):
+    history, weights, lam_s, tau, fterm, noise = _random_step_inputs(n, n_traj, 7)
+    expected = solver.step(history, weights, lam_s, tau, fterm, noise)
+    out = np.full((n_traj, 7), np.nan)
+    assert solver.step(history, weights, lam_s, tau, fterm, noise, out=out) is out
+    assert np.array_equal(out, expected)
+    # as the stepper calls it: the noise forcing is overwritten by u^n
+    aliased = noise.copy()
+    assert solver.step(history, weights, lam_s, tau, fterm, aliased, out=aliased) is aliased
+    assert np.array_equal(aliased, expected)
+
+
+def test_step_out_of_a_single_path_keeps_its_bits():
+    history, weights, lam_s, tau, fterm, noise = _random_step_inputs(17, 1, 7)
+    history, fterm, noise = history[:, 0], fterm[0], noise[0].copy()
+    expected = solver.step(history, weights, lam_s, tau, fterm, noise)
+    assert solver.step(history, weights, lam_s, tau, fterm, noise, out=noise) is noise
+    assert np.array_equal(noise, expected)
+
+
+@pytest.mark.parametrize("out", [np.empty((5, 8)), np.empty((5, 7), dtype=np.float32),
+                                 np.empty((7, 5)).T, np.empty((5, 7))[::-1]])
+def test_step_names_the_shape_of_an_out_it_cannot_write(out):
+    history, weights, lam_s, tau, fterm, noise = _random_step_inputs(3, 5, 7)
+    with pytest.raises(ValueError, match=r"shaped \(5, 7\)"):
+        solver.step(history, weights, lam_s, tau, fterm, noise, out=out)

@@ -161,3 +161,28 @@ def test_dense_project_rejects_aliased_request():
         spectral.project(np.zeros((25, 31)), 16)
     with pytest.raises(ValueError):
         spectral.synthesize(np.ones(513), 512)
+
+
+@pytest.mark.parametrize("rows", [(), (1,), (2,), (25,)])
+def test_transforms_write_out_with_the_bits_of_a_new_array(rows):
+    # () and (1,) go through the zero-padded two-row product, the others
+    # through one GEMM of their own rows
+    rng = np.random.default_rng(7)
+    coeffs = rng.standard_normal(rows + (32,))
+    grid = rng.standard_normal(rows + (64,))
+    synthesized = np.full(rows + (64,), np.nan)
+    projected = np.full(rows + (32,), np.nan)
+    assert spectral.synthesize(coeffs, 64, out=synthesized) is synthesized
+    assert spectral.project(grid, 32, out=projected) is projected
+    assert np.array_equal(synthesized, spectral.synthesize(coeffs, 64))
+    assert np.array_equal(projected, spectral.project(grid, 32))
+
+
+@pytest.mark.parametrize("out", [np.empty((25, 63)), np.empty((25, 64), dtype=np.float32),
+                                 np.empty((64, 25)).T, np.empty(64 * 25)])
+def test_transforms_name_the_shape_of_an_out_they_cannot_write(out):
+    coeffs = np.zeros((25, 32))
+    with pytest.raises(ValueError, match=r"shaped \(25, 64\)"):
+        spectral.synthesize(coeffs, 64, out=out)
+    with pytest.raises(ValueError, match=r"shaped \(25, 32\)"):
+        spectral.project(np.zeros((25, 64)), 32, out=np.empty((25, 33)))

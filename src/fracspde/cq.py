@@ -11,10 +11,9 @@ cumulative product;
 ``apply_cq_history`` is ``solver.step``'s history sum over the states of
 the current 16-step block, for one path or a batch of them (a run sums the
 states before the block with blocked GEMMs in ``solver``).
-``weights_by_series`` is an independent oracle (power-series composition
-in high precision) kept for the self-test and the test suite; the tests'
-second oracle, FFT coefficient extraction on a circle, is
-``weights_by_contour`` in ``tests/oracles.py``.
+The self-test checks the weights against their closed form in Gamma
+functions, and the tests against the series and contour oracles of
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -25,11 +24,7 @@ import numpy as np
 __all__ = [
     "cq_weights",
     "apply_cq_history",
-    "weights_by_series",
 ]
-
-#: decimal digits of the series oracle's mpmath arithmetic
-_SERIES_DPS = 50
 
 
 def cq_weights(a: float, tau: float, n_weights: int) -> np.ndarray:
@@ -71,23 +66,3 @@ def apply_cq_history(weights: np.ndarray, history: np.ndarray, *,
             f"history of length {n} exceeds weight table of length {weights.shape[0]}")
     return np.einsum("i,i...->...", weights[:n], history[::-1], out=out)
 
-
-def weights_by_series(a: float, tau: float, n_weights: int) -> np.ndarray:
-    """Oracle: coefficients of exp(a*log(1-z))/tau^a by power-series composition.
-
-    log(1-z) = -sum_{m>=1} z^m/m, then B = exp(A) coefficient recurrence
-    b_j = (1/j) sum_{k=1}^{j} k a_k b_{j-k}, all in mpmath arithmetic.
-    """
-    import mpmath as mp
-
-    with mp.workdps(_SERIES_DPS):
-        aa = mp.mpf(a)
-        log_coeffs = [mp.mpf(0)] + [-aa / m for m in range(1, n_weights)]
-        out = [mp.mpf(1)] + [mp.mpf(0)] * (n_weights - 1)
-        for j in range(1, n_weights):
-            acc = mp.mpf(0)
-            for k in range(1, j + 1):
-                acc += k * log_coeffs[k] * out[j - k]
-            out[j] = acc / j
-        scale = mp.mpf(tau) ** (-aa)
-        return np.array([float(b * scale) for b in out])

@@ -71,6 +71,11 @@ _CHUNK = 25
 
 _AXES = ("time", "space")
 
+#: ln of the largest and of the smallest normal float; the room (2^64) a
+#: squared error keeps above the latter; and ln 2^-26
+_LN_MAX, _LN_MIN = math.log(sys.float_info.max), math.log(sys.float_info.min)
+_LN_ROOM, _LN_RESOLVED = 64 * math.log(2.0), -26 * math.log(2.0)
+
 
 @dataclass(frozen=True)
 class RatePrediction:
@@ -88,6 +93,31 @@ def predict_rates(params: ModelParams) -> RatePrediction:
                          params.s * params.hurst / params.alpha - rho))
     return RatePrediction(rho=rho, sigma=sigma, temporal=temporal,
                           spatial=2.0 * sigma)
+
+
+def _log_scales(params: ModelParams, disc: Discretization) -> tuple:
+    """Natural logs of what one run computes in each mode k = 1..N.
+
+    Returns the noise forcing amp_k tau^H / tau, with amp_k = k^(m/2) and
+    tau^H the scale of an increment, -inf where amp_k, amp_k tau^H or the
+    forcing is not a normal float (the run has no noise in that mode);
+    the implicit factor 1/tau + d_0 lam_k^s = (1 + r_k) / tau, with
+    r_k = tau^alpha lam_k^s; and alpha r_k / (1 + r_k).  The forcing over
+    the factor is the scale of a state.  alpha r_k / (1 + r_k) is the
+    difference of this run's states from those of a run at twice the
+    steps on the same noise, relative to a state: runs read 0.4 to 1
+    times it, for alpha from 1e-15 to 1 and r_k from 1e-30 to 1e30.
+    """
+    ln_tau = math.log(disc.tau)
+    ln_k = np.log(np.arange(1, disc.n_modes + 1))
+    with np.errstate(over="ignore"):        # an amplitude below the floats is -inf
+        amp = 0.5 * params.m * ln_k
+    noise = amp + params.hurst * ln_tau
+    forcing = np.where(np.minimum(amp, noise - max(ln_tau, 0.0)) >= _LN_MIN,
+                       noise - ln_tau, -np.inf)
+    ln_r = params.alpha * ln_tau + 2 * params.s * (math.log(math.pi) + ln_k)
+    ln_1r = np.logaddexp(0.0, ln_r)
+    return forcing, ln_1r - ln_tau, math.log(params.alpha) + ln_r - ln_1r
 
 
 def _as_int(name: str, value) -> int:
@@ -108,7 +138,9 @@ class ExperimentConfig(ModelParams):
     ``fixed_other`` modes, "space" sweeps the mode count at
     ``fixed_other`` steps.  Levels must double from one to the next so
     the coupled refinement (one extra run at twice the finest level) lines
-    up.  ``n_traj`` trajectories are drawn from ``seed``.
+    up.  ``n_traj`` trajectories are drawn from ``seed``.  A config whose
+    run would leave the normal floats, or round a coupled error to
+    exactly 0, is refused with a ValueError that names its keys.
     """
 
     axis: str
@@ -139,16 +171,70 @@ class ExperimentConfig(ModelParams):
             raise ValueError(f"n_traj must be >= 2, got {self.n_traj}")
         if not 0 <= self.seed < 2 ** 64:     # trajectory.bin stores it as <u8
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        steps = 2 * self.levels[-1] if self.axis == "time" else self.fixed_other
+        if self.t_final / steps < sys.float_info.min:
+            raise ValueError(f"t_final={self.t_final!r}: tau = t_final / {steps} "
+                             f"underflows")
+        runs = [self.discretization(level)
+                for level in self.levels + (2 * self.levels[-1],)]
         # the noise variance k^m of the widest mode count, and the squared
         # errors with it, must stay finite
-        n_max = self.discretization(2 * self.levels[-1]).n_modes
-        log_max = math.log(sys.float_info.max)
-        if self.m * math.log(n_max) > log_max:
+        n_max = runs[-1].n_modes
+        if self.m * math.log(n_max) > _LN_MAX:
             raise ValueError(f"m={self.m} overflows the noise variance k^m at "
-                             f"N={n_max} modes: m * ln(N) must be at most {log_max:.2f}")
-        self._check_memory()
+                             f"N={n_max} modes: m * ln(N) must be at most {_LN_MAX:.2f}")
+        self._check_memory(runs)
+        self._check_range(runs)
 
-    def _check_memory(self) -> None:
+    def _check_range(self, runs: list) -> None:
+        """Reject a study whose arithmetic leaves the normal floats.
+
+        In every run, tau^(2H) and the largest noise forcing and implicit
+        factor of :func:`_log_scales` must be normal floats, with room for
+        the run's sums of them, and so must each coupled pair's squared
+        error, or it rounds to 0.  On the space axis the modes the finer run
+        adds make that error; on the time axis the modes whose two runs
+        differ by 2^-26 of a state or more, what rounding resolves.
+        """
+        checks = [(1.0 - self.alpha < 1.0, "alpha",
+                   "the quadrature order 1 - alpha rounds to 1")]
+        states = {}                 # tau -> ln of the widest run's states and shares
+        for disc in {disc.tau: disc for disc in runs}.values():
+            forcing, factor, share = _log_scales(self, disc)
+            states[disc.tau] = forcing - factor, share
+            ln_tau, room = math.log(disc.tau), math.log(16 * disc.n_steps)
+            # room: the covariance sums 2L terms of up to 2 tau^(2H); a state
+            # and u/tau reach 16 L forcings (or sin's term, about 1) over the
+            # factor; a squared error sums N squares of a state difference
+            nonlinear = -np.inf if self.f is None else -factor[0]
+            largest = max((forcing - factor).max(), nonlinear)
+            at = f"at L={disc.n_steps} steps, N={disc.n_modes} modes is not a normal float"
+            checks += [
+                (_LN_MIN <= 2 * self.hurst * ln_tau <= _LN_MAX - math.log(4 * disc.n_steps),
+                 "hurst t_final", f"tau^(2H) {at} with room for the fGn covariance"),
+                (_LN_MIN <= forcing.max() <= _LN_MAX - room - max(ln_tau, 0.0),
+                 "m hurst t_final",
+                 f"the largest noise forcing k^(m/2) tau^H / tau {at} with room"),
+                (_LN_MIN <= factor[0] and factor[-1] <= _LN_MAX,
+                 "alpha s t_final", f"the implicit factor 1/tau + d_0 lam_N^s {at}"),
+                (2 * (largest + room) + math.log(4 * disc.n_modes) <= _LN_MAX,
+                 "m hurst alpha s t_final", f"the squared error {at}")]
+        for i, (coarse, fine) in enumerate(zip(runs, runs[1:])):
+            if self.axis == "space":
+                error = states[fine.tau][0][coarse.n_modes:fine.n_modes]
+            else:
+                state, share = states[coarse.tau]
+                error = (state + share)[share >= _LN_RESOLVED]
+            checks.append((2 * error.max(initial=-np.inf) >= _LN_MIN + _LN_ROOM,
+                           "m hurst alpha s t_final",
+                           f"the coupled error at level {self.levels[i]} rounds to 0: "
+                           f"the noise underflows, or the two runs differ by rounding"))
+        for ok, keys, quantity in checks:
+            if not ok:
+                named = ", ".join(f"{key}={getattr(self, key)!r}" for key in keys.split())
+                raise ValueError(f"{named}: {quantity}")
+
+    def _check_memory(self, runs: list) -> None:
         """Reject a study whose arrays cannot fit in physical memory.
 
         A chunk holds its increments, about 8 B x (L+1) x chunk x N at the
@@ -162,12 +248,11 @@ class ExperimentConfig(ModelParams):
         per mode count, ``spectral``'s (N, 2N) matrix and its C-contiguous
         transpose: 32 B x N^2.
         """
-        finest = self.discretization(2 * self.levels[-1])
+        finest = runs[-1]
         per_chunk = (3 * 8 * (finest.n_steps + 1) * min(self.n_traj, _CHUNK)
                      * finest.n_modes)
         accumulator = 8 * len(self.levels) * self.n_traj
-        mode_counts = {self.discretization(level).n_modes
-                       for level in self.levels + (2 * self.levels[-1],)}
+        mode_counts = {disc.n_modes for disc in runs}
         sine_matrices = sum(32 * n * n for n in mode_counts)
         try:
             physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -1,19 +1,15 @@
 """Fractional Brownian motion increments on a uniform time grid.
 
-Two exact-in-distribution samplers are provided for the stationary
-increment vector (fractional Gaussian noise) of an fBm with Hurst index
-H in (0,1):
-
-* :func:`sample_fbm_cholesky` — dense Cholesky factor of the increment
-  covariance.  O(L^3); used as the distributional oracle and fine for
-  L up to a couple thousand.
-* :func:`sample_fbm_circulant` — circulant embedding (Davies–Harte),
-  O(L log L); the production sampler.  The embedding of fractional
-  Gaussian noise is nonnegative definite for every H, so a materially
-  negative eigenvalue signals an implementation bug and raises.  Each
-  call transforms the half spectrum of all its rows with one inverse real
-  FFT, for every L >= 1; one ``standard_normal(out=)`` call of its rng
-  fills the normals of all rows.
+:func:`sample_fbm_circulant` draws the stationary increment vector
+(fractional Gaussian noise) of an fBm with Hurst index H in (0,1), exact
+in distribution, by circulant embedding (Davies–Harte) in O(L log L).
+The embedding of fractional Gaussian noise is nonnegative definite for
+every H, so a materially negative eigenvalue signals an implementation
+bug and raises.  Each call transforms the half spectrum of all its rows
+with one inverse real FFT, for every L >= 1; one ``standard_normal(out=)``
+call of its rng fills the normals of all rows.  The tests check it
+against a dense Cholesky sampler, ``sample_fbm_cholesky`` in
+``tests/oracles.py``.
 
 Ensembles for the noise expansion W^H_Q = sum_k sqrt(Lambda_k) phi_k W^H_k
 are generated by :func:`mode_increments`: one counter-based RNG stream per
@@ -54,8 +50,6 @@ import numpy as np
 
 __all__ = [
     "increment_covariance",
-    "increment_covariance_matrix",
-    "sample_fbm_cholesky",
     "sample_fbm_circulant",
     "mode_increments",
 ]
@@ -85,27 +79,6 @@ def increment_covariance(h: float, tau: float, lag: np.ndarray) -> np.ndarray:
     factored = long_lag ** two_h * (np.expm1(two_h * np.log1p(1.0 / long_lag))
                                     + np.expm1(two_h * np.log1p(-1.0 / long_lag)))
     return 0.5 * tau ** two_h * np.where(j >= 2, factored, direct)
-
-
-def increment_covariance_matrix(h: float, tau: float, n_steps: int) -> np.ndarray:
-    """Full L x L covariance of the increment vector (symmetric Toeplitz)."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    idx = np.arange(n_steps)
-    return increment_covariance(h, tau, idx[:, None] - idx[None, :])
-
-
-def sample_fbm_cholesky(h: float, tau: float, n_steps: int,
-                        rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
-    """Exact fGn sampler via Cholesky factorization; returns (n_paths, L)."""
-    cov = increment_covariance_matrix(h, tau, n_steps)
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"increment covariance (H={h}, tau={tau}, L={n_steps}) is not "
-            f"numerically positive definite: {exc}") from exc
-    return rng.standard_normal((n_paths, n_steps)) @ factor.T
 
 
 def _sampler_buffers(rows: int, n_steps: int) -> tuple:

@@ -3,11 +3,16 @@
 The runtime package keeps what ``fracspde study``, ``trajectory`` and
 ``selftest`` run; these cross-checks live here instead:
 
+* :func:`weights_by_series` — CQ weights by power-series composition in
+  high precision, the primary oracle for ``cq.cq_weights``;
 * :func:`weights_by_contour` — CQ weights by FFT coefficient extraction on
-  a circle, the secondary oracle for ``cq.cq_weights`` (the primary one,
-  ``cq.weights_by_series``, stays in the package for the self-test);
+  a circle, its secondary oracle;
 * :func:`fbm_covariance` — the fBm covariance, the oracle for
   ``fbm.increment_covariance``;
+* :func:`increment_covariance_matrix` and :func:`sample_fbm_cholesky` —
+  the dense L x L increment covariance and the exact fGn sampler by its
+  Cholesky factor, O(L^3), the distributional oracle for
+  ``fbm.sample_fbm_circulant``;
 * :func:`mittag_leffler_integral` — the Mittag-Leffler function by its
   spectral-integral representation, the oracle for ``mlf.mittag_leffler``;
 * :func:`serialize_config` — the inverse of ``cli.parse_config``, for
@@ -19,13 +24,36 @@ import numpy as np
 
 from fracspde.cli import _FIELDS
 from fracspde.experiments import ExperimentConfig
-from fracspde.fbm import _check_hurst
+from fracspde.fbm import _check_hurst, increment_covariance
 from fracspde.mlf import _check_params
 
+#: decimal digits of the series oracle's mpmath arithmetic
+_SERIES_DPS = 50
 #: points on the contour oracle's circle
 _CONTOUR_POINTS = 4096
 #: decimal digits of the integral oracle's mpmath arithmetic
 _INTEGRAL_DPS = 30
+
+
+def weights_by_series(a: float, tau: float, n_weights: int) -> np.ndarray:
+    """Oracle: coefficients of exp(a*log(1-z))/tau^a by power-series composition.
+
+    log(1-z) = -sum_{m>=1} z^m/m, then B = exp(A) coefficient recurrence
+    b_j = (1/j) sum_{k=1}^{j} k a_k b_{j-k}, all in mpmath arithmetic.
+    """
+    import mpmath as mp
+
+    with mp.workdps(_SERIES_DPS):
+        aa = mp.mpf(a)
+        log_coeffs = [mp.mpf(0)] + [-aa / m for m in range(1, n_weights)]
+        out = [mp.mpf(1)] + [mp.mpf(0)] * (n_weights - 1)
+        for j in range(1, n_weights):
+            acc = mp.mpf(0)
+            for k in range(1, j + 1):
+                acc += k * log_coeffs[k] * out[j - k]
+            out[j] = acc / j
+        scale = mp.mpf(tau) ** (-aa)
+        return np.array([float(b * scale) for b in out])
 
 
 def weights_by_contour(a: float, tau: float, n_weights: int) -> np.ndarray:
@@ -48,6 +76,27 @@ def fbm_covariance(t: float, u: float, h: float) -> float:
     if t < 0.0 or u < 0.0:
         raise ValueError("fBm covariance requires nonnegative times")
     return 0.5 * (t ** (2 * h) + u ** (2 * h) - abs(t - u) ** (2 * h))
+
+
+def increment_covariance_matrix(h: float, tau: float, n_steps: int) -> np.ndarray:
+    """Full L x L covariance of the increment vector (symmetric Toeplitz)."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    idx = np.arange(n_steps)
+    return increment_covariance(h, tau, idx[:, None] - idx[None, :])
+
+
+def sample_fbm_cholesky(h: float, tau: float, n_steps: int,
+                        rng: np.random.Generator, n_paths: int = 1) -> np.ndarray:
+    """Exact fGn sampler via Cholesky factorization; returns (n_paths, L)."""
+    cov = increment_covariance_matrix(h, tau, n_steps)
+    try:
+        factor = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"increment covariance (H={h}, tau={tau}, L={n_steps}) is not "
+            f"numerically positive definite: {exc}") from exc
+    return rng.standard_normal((n_paths, n_steps)) @ factor.T
 
 
 def mittag_leffler_integral(alpha: float, beta: float, z: float) -> float:

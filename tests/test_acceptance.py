@@ -20,6 +20,7 @@ from fracspde.experiments import (
     run_convergence_study,
 )
 from fracspde.solver import ModelParams
+from oracles import increment_covariance_matrix, sample_fbm_cholesky, weights_by_series
 
 
 def _report(name, ok, detail):
@@ -177,7 +178,7 @@ def test_criterion_4_scalar_solver_order():
 
 
 def _covariance_deviation(sampler, hurst, n_steps, n_paths, seed):
-    exact = fbm.increment_covariance_matrix(hurst, 1.0, n_steps)
+    exact = increment_covariance_matrix(hurst, 1.0, n_steps)
     se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact ** 2)
                  / n_paths)
     x = sampler(hurst, 1.0, n_steps, np.random.default_rng(seed), n_paths)
@@ -190,7 +191,7 @@ def test_criterion_5_fbm_covariance():
     n_steps, n_paths = 64, 100_000
     devs = {}
     for hurst in (0.3, 0.5, 0.8):
-        for sampler in (fbm.sample_fbm_cholesky, fbm.sample_fbm_circulant):
+        for sampler in (sample_fbm_cholesky, fbm.sample_fbm_circulant):
             key = f"{sampler.__name__.split('_')[-1]}/H={hurst}"
             devs[key] = _covariance_deviation(sampler, hurst, n_steps,
                                               n_paths, seed=300)
@@ -213,7 +214,7 @@ def test_criterion_6_cq_weights():
     for alpha in np.arange(0.1, 0.95, 0.1):
         a = 1.0 - float(alpha)
         fast = cq.cq_weights(a, tau, 65)
-        oracle = cq.weights_by_series(a, tau, 65)
+        oracle = weights_by_series(a, tau, 65)
         worst = max(worst, float(np.max(np.abs(fast - oracle)
                                         / np.abs(oracle))))
     elapsed = time.perf_counter() - t0

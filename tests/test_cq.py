@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gamma, rgamma
 
-from fracspde import cq
-from oracles import weights_by_contour
+from fracspde import cq, selftest
+from oracles import weights_by_contour, weights_by_series
 
 
 def test_leading_weights():
@@ -39,7 +39,7 @@ def test_weights_match_binomial_closed_form():
 def test_weights_match_series_oracle():
     for a in (0.1, 0.35, 0.7, 0.95):
         fast = cq.cq_weights(a, 0.01, 65)
-        slow = cq.weights_by_series(a, 0.01, 65)
+        slow = weights_by_series(a, 0.01, 65)
         np.testing.assert_allclose(fast, slow, rtol=1e-13)
 
 
@@ -179,3 +179,22 @@ def test_weight_properties(a, n):
     assert np.all(np.diff(mags) <= 1e-15)
     # partial sums stay nonnegative (they decrease from 1 toward 0)
     assert np.all(np.cumsum(w) > -1e-12)
+
+
+def test_selftest_weight_table_catches_one_weight_off_by_1e_10(monkeypatch, capsys):
+    # the self-test's reference is the Gamma closed form, not the series
+    assert selftest.run() == 0
+    out = capsys.readouterr().out
+    assert "ok   cq weight table: recurrence vs Gamma closed form" in out
+    exact = cq.cq_weights
+
+    def one_weight_off(a, tau, n_weights):
+        w = exact(a, tau, n_weights)
+        w[n_weights // 2] *= 1 + 1e-10
+        return w
+
+    monkeypatch.setattr(cq, "cq_weights", one_weight_off)
+    assert selftest.run() == 1
+    out = capsys.readouterr().out
+    assert "FAIL cq weight table: weight mismatch" in out
+    assert "selftest failed: cq weight table" in out

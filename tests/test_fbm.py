@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from fracspde import fbm
-from oracles import fbm_covariance
+from oracles import fbm_covariance, increment_covariance_matrix, sample_fbm_cholesky
 
 
 def test_covariance_closed_form():
@@ -24,12 +24,12 @@ def test_covariance_domain_errors():
 
 
 def test_increment_covariance_matrix_brownian():
-    c = fbm.increment_covariance_matrix(0.5, 0.25, 6)
+    c = increment_covariance_matrix(0.5, 0.25, 6)
     np.testing.assert_allclose(c, 0.25 * np.eye(6), atol=1e-15)
 
 
 def test_increment_covariance_matrix_entries():
-    c = fbm.increment_covariance_matrix(0.75, 1.0, 4)
+    c = increment_covariance_matrix(0.75, 1.0, 4)
     assert np.all(np.diag(c) == pytest.approx(1.0))
     # lag-1 entry: (|2|^1.5 + 0 - 2)/2
     assert c[1, 0] == pytest.approx(0.5 * (2 ** 1.5 - 2))
@@ -38,8 +38,8 @@ def test_increment_covariance_matrix_entries():
 
 def test_increment_correlation_sign():
     # anti-persistent vs persistent increments, deterministic check
-    lag1_low = fbm.increment_covariance_matrix(0.3, 1.0, 3)[1, 0]
-    lag1_high = fbm.increment_covariance_matrix(0.8, 1.0, 3)[1, 0]
+    lag1_low = increment_covariance_matrix(0.3, 1.0, 3)[1, 0]
+    lag1_high = increment_covariance_matrix(0.8, 1.0, 3)[1, 0]
     assert lag1_low < 0 < lag1_high
 
 
@@ -47,7 +47,7 @@ def test_increment_covariance_consistent_with_fbm_covariance():
     # entries must equal the bilinear expansion of the path covariance
     h, tau, n = 0.67, 0.125, 5
     grid = tau * np.arange(n + 1)
-    c = fbm.increment_covariance_matrix(h, tau, n)
+    c = increment_covariance_matrix(h, tau, n)
     for i in range(n):
         for j in range(n):
             expect = (fbm_covariance(grid[i + 1], grid[j + 1], h)
@@ -59,7 +59,7 @@ def test_increment_covariance_consistent_with_fbm_covariance():
 
 def test_increment_covariance_psd():
     for h in (0.2, 0.5, 0.9):
-        c = fbm.increment_covariance_matrix(h, 0.01, 48)
+        c = increment_covariance_matrix(h, 0.01, 48)
         eigs = np.linalg.eigvalsh(c)
         assert eigs.min() > -1e-12 * eigs.max()
 
@@ -89,7 +89,7 @@ def test_circulant_root_takes_h_near_one_at_long_l():
 
 
 def test_samplers_deterministic():
-    for sampler in (fbm.sample_fbm_cholesky, fbm.sample_fbm_circulant):
+    for sampler in (sample_fbm_cholesky, fbm.sample_fbm_circulant):
         a = sampler(0.7, 0.5, 16, np.random.default_rng(99), 4)
         b = sampler(0.7, 0.5, 16, np.random.default_rng(99), 4)
         assert a.shape == (4, 16)
@@ -99,7 +99,7 @@ def test_samplers_deterministic():
 def test_brownian_case_kolmogorov_smirnov():
     # H=0.5 -> iid N(0, tau) increments for both samplers
     tau = 0.04
-    for sampler, seed in ((fbm.sample_fbm_cholesky, 1),
+    for sampler, seed in ((sample_fbm_cholesky, 1),
                           (fbm.sample_fbm_circulant, 2)):
         x = sampler(0.5, tau, 20, np.random.default_rng(seed), 500).ravel()
         p = stats.kstest(x, "norm", args=(0.0, math.sqrt(tau))).pvalue
@@ -109,10 +109,10 @@ def test_brownian_case_kolmogorov_smirnov():
 def test_sample_covariance_matches_exact():
     # moderate-size version of the covariance acceptance check
     h, tau, n_steps, n_paths = 0.3, 1.0, 16, 40_000
-    exact = fbm.increment_covariance_matrix(h, tau, n_steps)
+    exact = increment_covariance_matrix(h, tau, n_steps)
     se = np.sqrt((np.outer(np.diag(exact), np.diag(exact)) + exact ** 2)
                  / n_paths)
-    for sampler, seed in ((fbm.sample_fbm_cholesky, 5),
+    for sampler, seed in ((sample_fbm_cholesky, 5),
                           (fbm.sample_fbm_circulant, 6)):
         x = sampler(h, tau, n_steps, np.random.default_rng(seed), n_paths)
         sample = x.T @ x / n_paths
@@ -220,7 +220,7 @@ def test_circulant_matches_cholesky_energy_distance():
     # distribution equality of the two samplers, not rejected at 1%
     rng = np.random.default_rng(2024)
     n = 10_000
-    x = fbm.sample_fbm_cholesky(0.8, 1.0, 32, rng, n)
+    x = sample_fbm_cholesky(0.8, 1.0, 32, rng, n)
     y = fbm.sample_fbm_circulant(0.8, 1.0, 32, rng, n)
     p = _energy_statistic_p_value(x, y)
     assert p > 0.01, f"energy test rejected sampler equality, p={p:.3f}"

@@ -104,6 +104,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _cmd_study(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    config._check_coupled_errors()               # a refused study makes no --out
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)   # a bad --out fails before the run
     result = run_convergence_study(config, threads=args.threads)

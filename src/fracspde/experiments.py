@@ -6,11 +6,13 @@ solutions on adjacent refinement levels,
     e_l = sqrt( E ||u_l - u_{2l}||^2_{L2(0,1)} ),
 
 estimated over a trajectory ensemble.  Coupling means both resolutions are
-driven by the same noise realisation: on the time axis every trajectory is
-sampled once at the finest step count and coarsened by summing adjacent
-increments, on the space axis all runs share the modewise noise of the
-largest mode count.  Observed rates are log2 ratios of consecutive errors
-and are attached to the coarser of the two levels.
+driven by the same noise realisation.  A study's runs are its levels, then
+a closing run at twice the finest level (``ExperimentConfig.runs``), and a
+chunk of trajectories follows one plan: draw the noise once on the finest
+grid, step the coarser runs in order, each in a buffer of its own, step
+the closing run last in the draw, then reduce adjacent pairs to squared
+errors.  Observed rates are log2 ratios of consecutive errors and are
+attached to the coarser of the two levels.
 
 The predicted rates come from the regularity exponents of the model: with
 noise spectrum Lambda_k = k^m on the interval (dimension d = 1) let
@@ -139,8 +141,9 @@ class ExperimentConfig(ModelParams):
     ``fixed_other`` steps.  Levels must double from one to the next so
     the coupled refinement (one extra run at twice the finest level) lines
     up.  ``n_traj`` trajectories are drawn from ``seed``.  A config whose
-    run would leave the normal floats, or round a coupled error to
-    exactly 0, is refused with a ValueError that names its keys.
+    run would leave the normal floats is refused with a ValueError that
+    names its keys, and so is a study whose coupled error would round to
+    exactly 0, when it starts.
     """
 
     axis: str
@@ -171,12 +174,7 @@ class ExperimentConfig(ModelParams):
             raise ValueError(f"n_traj must be >= 2, got {self.n_traj}")
         if not 0 <= self.seed < 2 ** 64:     # trajectory.bin stores it as <u8
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        steps = 2 * self.levels[-1] if self.axis == "time" else self.fixed_other
-        if self.t_final / steps < sys.float_info.min:
-            raise ValueError(f"t_final={self.t_final!r}: tau = t_final / {steps} "
-                             f"underflows")
-        runs = [self.discretization(level)
-                for level in self.levels + (2 * self.levels[-1],)]
+        runs = self.runs()
         # the noise variance k^m of the widest mode count, and the squared
         # errors with it, must stay finite
         n_max = runs[-1].n_modes
@@ -186,22 +184,20 @@ class ExperimentConfig(ModelParams):
         self._check_memory(runs)
         self._check_range(runs)
 
-    def _check_range(self, runs: list) -> None:
-        """Reject a study whose arithmetic leaves the normal floats.
+    def _check_range(self, runs: tuple) -> None:
+        """Reject a config whose runs leave the normal floats.
 
         In every run, tau^(2H) and the largest noise forcing and implicit
         factor of :func:`_log_scales` must be normal floats, with room for
-        the run's sums of them, and so must each coupled pair's squared
-        error, or it rounds to 0.  On the space axis the modes the finer run
-        adds make that error; on the time axis the modes whose two runs
-        differ by 2^-26 of a state or more, what rounding resolves.
+        the run's sums of them and for a squared error.  These are the
+        checks of both commands, made when the config is.  The study's
+        check, that no coupled error rounds to 0, is
+        :meth:`_check_coupled_errors`.
         """
         checks = [(1.0 - self.alpha < 1.0, "alpha",
                    "the quadrature order 1 - alpha rounds to 1")]
-        states = {}                 # tau -> ln of the widest run's states and shares
-        for disc in {disc.tau: disc for disc in runs}.values():
-            forcing, factor, share = _log_scales(self, disc)
-            states[disc.tau] = forcing - factor, share
+        for disc in {disc.tau: disc for disc in runs}.values():   # the widest run per tau
+            forcing, factor, _ = _log_scales(self, disc)
             ln_tau, room = math.log(disc.tau), math.log(16 * disc.n_steps)
             # room: the covariance sums 2L terms of up to 2 tau^(2H); a state
             # and u/tau reach 16 L forcings (or sin's term, about 1) over the
@@ -219,28 +215,48 @@ class ExperimentConfig(ModelParams):
                  "alpha s t_final", f"the implicit factor 1/tau + d_0 lam_N^s {at}"),
                 (2 * (largest + room) + math.log(4 * disc.n_modes) <= _LN_MAX,
                  "m hurst alpha s t_final", f"the squared error {at}")]
-        for i, (coarse, fine) in enumerate(zip(runs, runs[1:])):
+        self._refuse(checks)
+
+    def _check_coupled_errors(self) -> None:
+        """Reject a study whose coupled squared error rounds to 0.
+
+        This is the study's check, not the config's: a single path has no
+        error to round.  :func:`run_convergence_study` makes it before any
+        work, and ``fracspde study`` before ``--out`` exists.  For each
+        adjacent pair of :meth:`runs`, on the space axis the modes the
+        finer run adds make that error; on the time axis the modes whose
+        two runs differ by 2^-26 of a state or more, what rounding resolves.
+        """
+        runs, checks = self.runs(), []
+        for level, coarse, fine in zip(self.levels, runs, runs[1:]):
             if self.axis == "space":
-                error = states[fine.tau][0][coarse.n_modes:fine.n_modes]
+                forcing, factor, _ = _log_scales(self, fine)
+                error = (forcing - factor)[coarse.n_modes:]
             else:
-                state, share = states[coarse.tau]
-                error = (state + share)[share >= _LN_RESOLVED]
+                forcing, factor, share = _log_scales(self, coarse)
+                error = (forcing - factor + share)[share >= _LN_RESOLVED]
             checks.append((2 * error.max(initial=-np.inf) >= _LN_MIN + _LN_ROOM,
                            "m hurst alpha s t_final",
-                           f"the coupled error at level {self.levels[i]} rounds to 0: "
+                           f"the coupled error at level {level} rounds to 0: "
                            f"the noise underflows, or the two runs differ by rounding"))
+        self._refuse(checks)
+
+    def _refuse(self, checks: list) -> None:
+        """Raise the first failed ``(ok, keys, quantity)`` check as a
+        ValueError that names its keys' values and the quantity."""
         for ok, keys, quantity in checks:
             if not ok:
                 named = ", ".join(f"{key}={getattr(self, key)!r}" for key in keys.split())
                 raise ValueError(f"{named}: {quantity}")
 
-    def _check_memory(self, runs: list) -> None:
+    def _check_memory(self, runs: tuple) -> None:
         """Reject a study whose arrays cannot fit in physical memory.
 
         A chunk holds its increments, about 8 B x (L+1) x chunk x N at the
         finest step count L and the widest mode count N, drawn into the
-        buffer its closing level steps in, and steps each other level in a
-        buffer of at most half that size: one and a half such arrays.
+        buffer its closing run steps in, and steps each coarser run in a
+        buffer of its own, at most half that size: one and a half such
+        arrays.
         The three counted here are a loose bound, with room for the fGn
         sampler's per-call buffers and the per-step work
         arrays.  The study also keeps every trajectory's squared error at
@@ -266,15 +282,25 @@ class ExperimentConfig(ModelParams):
                 f"mode counts {sorted(mode_counts)} need {sine_matrices} bytes "
                 f"of sine matrices; physical memory is {physical} bytes")
 
+    def runs(self) -> tuple:
+        """The study's grids, coarsest first: one per level, then the
+        closing run at twice the finest level, the finer run of the finest
+        level's coupled pair."""
+        return tuple(self.discretization(level)
+                     for level in self.levels + (2 * self.levels[-1],))
+
     def discretization(self, level: int) -> Discretization:
         """The grid of one refinement level.
 
         On the time axis ``level`` is the step count L at ``fixed_other``
         modes, on the space axis the mode count N at ``fixed_other``
-        steps; in both, tau = t_final / L.
+        steps; in both, tau = t_final / L, refused if it underflows.
         """
         n_modes, n_steps = ((self.fixed_other, level) if self.axis == "time"
                             else (level, self.fixed_other))
+        if self.t_final / n_steps < sys.float_info.min:
+            raise ValueError(f"t_final={self.t_final!r}: tau = t_final / {n_steps} "
+                             f"underflows")
         return Discretization(n_modes=n_modes, n_steps=n_steps,
                               tau=self.t_final / n_steps)
 
@@ -318,51 +344,53 @@ def pathwise_error(coeffs_a: np.ndarray, coeffs_b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((coeffs_a - coeffs_b) ** 2, axis=-1))
 
 
+def _final_states(config: ExperimentConfig, disc: Discretization, draw: np.ndarray,
+                  trajectories) -> np.ndarray:
+    """Final states (n_traj, N) of a chunk's run on the grid ``disc``.
+
+    ``draw`` is the closing run's (L+1, n_traj, N) buffer, whose rows 1..
+    hold the chunk's increments.  A coarser run steps in a buffer of its
+    own, whose rows 1.. are the sums of the draw's first N modes over each
+    group of fine steps that one of its steps spans: on the space axis a
+    group is one step, and the sum a copy.  The closing run steps in the
+    draw itself and overwrites it, so it runs last.  A solver failure is
+    re-raised with the level and the absolute trajectory index.
+    """
+    shape = (disc.n_steps + 1, draw.shape[1], disc.n_modes)
+    if shape == draw.shape:
+        states = draw
+    else:
+        states = np.empty(shape)
+        draw[1:, :, :disc.n_modes].reshape(disc.n_steps, -1, *shape[1:]).sum(
+            axis=1, out=states[1:])
+    try:
+        return run_ensemble(config, disc, states[1:], out=states)
+    except SolverError as exc:
+        level = disc.n_steps if config.axis == "time" else disc.n_modes
+        raise SolverError(exc.mode, exc.time_level, trajectories[exc.trajectory],
+                          context=f"level {level}: ") from exc
+
+
 def _chunk_squared_errors(config: ExperimentConfig, trajectories) -> np.ndarray:
     """Squared adjacent-pair errors for a batch of trajectory indices.
 
     Returns an array of shape (len(levels), len(trajectories)): entry
-    [i, j] is ||u_{l_i} - u_{2 l_i}||^2 for trajectory j, where the run at
-    2 * levels[-1] is the extra refinement closing the last pair.  One
-    loop serves both axes: the increments are drawn once on the finest
-    grid, and each level takes their first N modes and sums each group
-    of adjacent steps that one of its coarser steps spans.  So the time
-    axis coarsens steps and the space axis drops modes.  A level steps in
-    the ``out`` of :func:`run_ensemble` whose rows 1.. its increments are
-    made in: the draw in the closing level's, which runs last, and a
-    time-axis level's sums in its own.  A coarser space-axis level is a
-    view of the draw, which later levels still read, so it passes no
-    ``out`` and steps in a new buffer.  So a chunk holds the draw and at
-    most one coarser level's buffer.  A solver failure is re-raised with
-    the level and the absolute trajectory index.
+    [i, j] is ||u_{l_i} - u_{2 l_i}||^2 for trajectory j, from runs i and
+    i + 1 of ``config.runs()``.  The plan of a chunk: draw the increments
+    once on the finest grid, into rows 1.. of the closing run's buffer;
+    step the coarser runs in order, each in a buffer of its own; step the
+    closing run last, in the draw (:func:`_final_states`); then reduce
+    adjacent pairs of final states to squared errors.  So the time axis
+    coarsens steps and the space axis drops modes, and a chunk holds the
+    draw and at most one coarser run's buffer.
     """
-    all_levels = list(config.levels) + [2 * config.levels[-1]]
-    fine = config.discretization(all_levels[-1])
-    n_traj = len(trajectories)
-    draw = np.empty((fine.n_steps + 1, n_traj, fine.n_modes))
+    runs = config.runs()
+    fine = runs[-1]
+    draw = np.empty((fine.n_steps + 1, len(trajectories), fine.n_modes))
     fbm.mode_increments(config.hurst, fine.tau, fine.n_steps, config.seed,
                         fine.n_modes, trajectories, out=draw[1:])
-    out = np.empty((len(config.levels), n_traj))
-    previous = None
-    for i, level in enumerate(all_levels):
-        disc = config.discretization(level)
-        coarse = draw[1:, :, :disc.n_modes]
-        # the last level's buffer goes before this level's is made
-        states = draw if level == all_levels[-1] else None
-        group = fine.n_steps // disc.n_steps
-        if group > 1:
-            states = np.empty((disc.n_steps + 1, n_traj, disc.n_modes))
-            coarse = coarse.reshape(disc.n_steps, group, n_traj, disc.n_modes).sum(
-                axis=1, out=states[1:])
-        try:
-            final = run_ensemble(config, disc, coarse, out=states)
-        except SolverError as exc:
-            raise SolverError(exc.mode, exc.time_level, trajectories[exc.trajectory],
-                              context=f"level {level}: ") from exc
-        if previous is not None:
-            out[i - 1] = pathwise_error(previous, final) ** 2
-        previous = final
-    return out
+    finals = [_final_states(config, disc, draw, trajectories) for disc in runs]
+    return np.array([pathwise_error(a, b) ** 2 for a, b in zip(finals, finals[1:])])
 
 
 #: the symbols an OpenBLAS function ``openblas_<name>`` goes by: the
@@ -561,8 +589,10 @@ def run_convergence_study(config: ExperimentConfig,
     a lock one of those threads held.  The observed rate
     log2(e_l / e_{l+1}) sits on the coarser level's row; the finest row
     has none.  Rates are omitted (None) when an error vanishes or is not
-    finite.
+    finite.  A study whose coupled error would round to 0 raises a
+    ValueError that names its keys, before any work.
     """
+    config._check_coupled_errors()
     n_traj = config.n_traj
     chunks = [range(lo, min(lo + _CHUNK, n_traj))
               for lo in range(0, n_traj, _CHUNK)]

@@ -69,16 +69,24 @@ def increment_covariance(h: float, tau: float, lag: np.ndarray) -> np.ndarray:
     tau^2H/2 * j^2H * (expm1(2H log1p(1/j)) + expm1(2H log1p(-1/j))): the
     direct second difference of j^2H cancels about log10(j^2) digits, 1e-6
     of the value at lag 65536, and the circulant embedding of H near 1
-    then looks negative at long L.
+    then looks negative at long L.  A tau whose tau^2H overflows or
+    underflows to 0 is refused with a ValueError that names H and tau.
     """
     _check_hurst(h)
     j = np.abs(np.asarray(lag, dtype=float))
     two_h = 2 * h
+    try:
+        scale = tau ** two_h
+    except OverflowError:                   # a Python float's power raises
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"H={h!r}, tau={tau!r}: tau^(2H) = {scale!r} is not a "
+                         f"positive finite float")
     direct = (j + 1) ** two_h + np.abs(j - 1) ** two_h - 2 * j ** two_h
     long_lag = np.maximum(j, 2.0)              # the long-lag form, warning-free below 2
     factored = long_lag ** two_h * (np.expm1(two_h * np.log1p(1.0 / long_lag))
                                     + np.expm1(two_h * np.log1p(-1.0 / long_lag)))
-    return 0.5 * tau ** two_h * np.where(j >= 2, factored, direct)
+    return 0.5 * scale * np.where(j >= 2, factored, direct)
 
 
 def _sampler_buffers(rows: int, n_steps: int) -> tuple:

@@ -291,6 +291,24 @@ def test_seed_beyond_64_bits_rejected_by_both_commands(tmp_path, capsys, command
     assert not (out / "trajectory.bin").exists()
 
 
+def test_only_the_study_is_refused_below_the_coupled_error_floor(tmp_path, capsys):
+    # one path has no error to round to 0, so the trajectory runs; the
+    # study's coupled error at level 4 would, so it is refused before --out
+    cfg_path = _write_tiny_config(tmp_path, hurst=0.5, t_final=1e-300)
+    out = tmp_path / "traj"
+    assert cli.main(["trajectory", "--config", str(cfg_path), "--out", str(out)]) == 0
+    states, _ = solver.load_trajectory(out / "trajectory.bin")
+    assert states.shape == (9, 6) and np.all(np.isfinite(states))
+    capsys.readouterr()
+    out = tmp_path / "study"
+    assert cli.main(["study", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: m=-1.0, hurst=0.5, alpha=0.3, s=0.7, t_final=1e-300: the coupled error "
+        "at level 4 rounds to 0: the noise underflows, or the two runs differ by "
+        "rounding\n")
+    assert not out.exists()
+
+
 def test_largest_seed_round_trips_through_trajectory_header(tmp_path):
     cfg_path = _write_tiny_config(tmp_path, seed=2 ** 64 - 1)
     out = tmp_path / "traj"

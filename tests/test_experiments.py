@@ -255,6 +255,58 @@ def test_one_step_one_path_space_chunk_matches_hand_coupled_levels():
     assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("axis, fixed_other", [("time", 3), ("space", 6)])
+def test_every_run_of_a_chunk_steps_in_the_buffer_of_its_increments(monkeypatch, axis,
+                                                                    fixed_other):
+    # the plan of a chunk: the config's runs in order, each stepping in the
+    # out whose rows 1.. hold its increments; the closing run, last, steps
+    # in the draw, and no other run does
+    draws, calls, draw_into = [], [], fbm.mode_increments
+
+    def drawn(*args, out):
+        draws.append(out)
+        return draw_into(*args, out=out)
+
+    def stepped(params, disc, increments, *, out=None):
+        calls.append((disc, increments, out))
+        return solver.run_ensemble(params, disc, increments, out=out)
+
+    monkeypatch.setattr(experiments.fbm, "mode_increments", drawn)
+    monkeypatch.setattr(experiments, "run_ensemble", stepped)
+    cfg = _config(axis=axis, levels=(2, 4), fixed_other=fixed_other, hurst=0.3)
+    experiments._chunk_squared_errors(cfg, range(3, 7))
+    assert [disc for disc, _, _ in calls] == list(cfg.runs())
+    for disc, increments, out in calls:
+        assert isinstance(out, np.ndarray)
+        assert out.shape == (disc.n_steps + 1, 4, disc.n_modes)
+        rows = out[1:]
+        assert (increments.__array_interface__, increments.strides) == (
+            rows.__array_interface__, rows.strides)
+    (draw,) = draws
+    closing = calls[-1][2]
+    assert draw.__array_interface__ == closing[1:].__array_interface__
+    assert not any(np.shares_memory(out, closing) for _, _, out in calls[:-1])
+
+
+#: one path of it has no error, but a study's coupled error at level 4
+#: rounds to 0
+_BELOW_THE_FLOOR = dict(alpha=0.3, s=0.7, hurst=0.5, m=-1.0, axis="time",
+                        levels=(4, 8), fixed_other=6, t_final=1e-300)
+
+
+def test_the_coupled_error_floor_is_checked_by_the_study_before_any_work(monkeypatch):
+    cfg = ExperimentConfig(**_BELOW_THE_FLOOR)          # parses: the check is the study's
+
+    def work(*args):
+        raise AssertionError("the study ran a chunk")
+
+    monkeypatch.setattr(experiments, "_map_chunks", work)
+    with pytest.raises(ValueError, match=re.escape(
+            "m=-1.0, hurst=0.5, alpha=0.3, s=0.7, t_final=1e-300: "
+            "the coupled error at level 4 rounds to 0")):
+        run_convergence_study(cfg, threads=1)
+
+
 def test_zero_noise_gives_empty_rates(monkeypatch):
     def no_noise(hurst, tau, n_steps, seed, n_modes, trajectories, *, out=None):
         if out is None:

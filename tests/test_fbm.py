@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -389,3 +390,15 @@ def test_tiled_write_equals_the_stream_oracle(n_modes):
     assert fbm.mode_increments(0.3, 1 / 24, 24, 11, n_modes, [2, 0], out=out) is out
     assert np.array_equal(out, expected)
     assert np.isnan(big[:, :, ::2]).all()
+
+
+# tau^(2H) overflows, or underflows to 0, where the draw would be all zero
+@pytest.mark.parametrize("h, tau", [(0.999999, 2.5e199), (0.9, 1e-300)])
+@pytest.mark.parametrize("call", [
+    lambda h, tau: fbm.increment_covariance(h, tau, [0]),
+    lambda h, tau: fbm.sample_fbm_circulant(h, tau, 4, np.random.default_rng(0)),
+    lambda h, tau: fbm.mode_increments(h, tau, 4, 0, 2, [0])],
+    ids=["increment_covariance", "sample_fbm_circulant", "mode_increments"])
+def test_a_tau_whose_power_leaves_the_floats_is_refused_by_name(call, h, tau):
+    with pytest.raises(ValueError, match="^" + re.escape(f"H={h!r}, tau={tau!r}: tau^(2H)")):
+        call(h, tau)

@@ -123,7 +123,25 @@ def _selftest_cq_history() -> str:
 
 def _selftest_transform_rows() -> str:
     # a path's bits must not depend on the batch it is stepped in, so a
-    # transformed row must not depend on the rows transformed with it
+    # transformed row must not depend on the rows transformed with it; the
+    # stepper transforms one path's state over the next row of its buffer,
+    # which may hold anything
+    rng = np.random.default_rng(4325)
+    for n_modes in (1, 8, 100, 128):
+        coeffs = rng.standard_normal((2, n_modes))
+        grid = rng.standard_normal((2, 2 * n_modes))
+        alone = (spectral.synthesize(coeffs[0], 2 * n_modes), spectral.project(grid[0], n_modes))
+        for name, neighbour in [("0", 0.0), ("-0.0", -0.0),
+                                ("random", rng.standard_normal(2 * n_modes)),
+                                ("+-1e300", rng.choice([-1e300, 1e300], 2 * n_modes)),
+                                ("nan", np.nan)]:
+            grid[1] = neighbour
+            coeffs[1] = grid[1, :n_modes]
+            beside = (spectral.synthesize(coeffs, 2 * n_modes), spectral.project(grid, n_modes))
+            for fn, got, want in zip(("synthesize", "project"), beside, alone):
+                if not np.array_equal(got[0], want):
+                    raise AssertionError(f"{fn} of row 0 changes beside a row of "
+                                         f"{name}, N={n_modes}")
     rng = np.random.default_rng(4324)
     for n_modes in (8, 100, 128):
         coeffs = rng.standard_normal((25, n_modes))
@@ -138,7 +156,8 @@ def _selftest_transform_rows() -> str:
                     if not np.array_equal(got, want[part]):
                         raise AssertionError(f"{name} of rows {lo}..{lo + rows - 1} "
                                              f"differs from the same rows of 25, N={n_modes}")
-    return "rows of 1-, 2- and 5-row transforms equal those of 25"
+    return ("row 0 of 2 keeps its bits beside 0, -0.0, random, +-1e300 and NaN; "
+            "rows of 1-, 2- and 5-row transforms equal those of 25")
 
 
 def _selftest_mlf() -> str:

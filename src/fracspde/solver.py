@@ -31,7 +31,9 @@ the trajectory command and a study chunk do, steps in its own draw and
 holds no second array of that size.  Finiteness is checked once per
 ``_BLOCK`` steps and at the last step, and the first non-finite entry in
 row order names the step.  Up to ``_BLOCK - 1`` steps may run on a
-non-finite state before the check, so the loop runs with numpy's
+non-finite state before the check, and a single path's transforms also
+read the buffer's next row, a noise forcing that can overflow a
+transform when no state does, so the loop runs with numpy's overflow and
 invalid-value warnings off: the SolverError reports the state.  Every
 step of both paths is one call of ``step``, where the update is written.
 Its CQ history sum comes in two parts:
@@ -64,14 +66,18 @@ and 25 paths took 3.3 s with a per-step gemv and 1.1 s blocked.
 Before the loop, ``_advance`` allocates everything its steps write: the
 implicit factor 1/tau + d_0 lam_s and two scratch states for ``step``
 (``_step_work``), the forcing buffer that takes lam_s times the far sum,
-and the buffers of the two transforms, which for one path hold two rows
-over a zero row that stays zero.  ``step`` writes u^n straight into row n
-of the states, which is also its noise argument.  So after the set-up a
-step allocates nothing the size of a state, and still makes one call
-each of ``step``, ``spectral.synthesize`` and ``spectral.project``.  At
-L=2048, N=128 that took the single path's stepper from 97 to 93 ms, and a
-25-path level at N=128, L=256 from 58 to 55 ms (medians of 6 alternating
-processes of 7 runs each, 2 vCPU, numpy 2.4, OpenBLAS 0.3.31).
+and the result buffers of the two transforms.  ``synthesize`` reads the
+states in place, in one layout for both paths: a batch's row n-1, or one
+path's row n-1 over row n, its noise forcing, whose transforms are never
+read and change none of the path's bits, since a transformed row does
+not depend on its neighbours (see ``spectral``).  ``step`` writes u^n
+straight into row n of the states, which is also its noise argument.  So
+after the set-up a step allocates and copies nothing the size of a state,
+and still makes one call each of ``step``, ``spectral.synthesize`` and
+``spectral.project``.  At L=2048, N=128 allocation-free steps took the
+single path's stepper from 97 to 93 ms, and a 25-path level at N=128,
+L=256 from 58 to 55 ms (medians of 6 alternating processes of 7 runs
+each, 2 vCPU, numpy 2.4, OpenBLAS 0.3.31).
 
 ``step`` is also the public one-step form: the einsum broadcasts over a
 history of (n_traj, N) states, and each row of the result is bit for bit
@@ -294,28 +300,24 @@ def _advance(params: ModelParams, disc: Discretization, states: np.ndarray) -> n
     np.multiply(amp, rows, out=rows)
     np.divide(rows, tau, out=rows)
     shape = states.shape[1:]                  # one state
+    width = states[0].size // n_modes         # paths
+    n_rows = max(width, 2)                    # rows of each transform
     work = _step_work(weights, lam_s, tau, shape)
     forcing = np.empty(shape)                 # fterm - lam_s * far, fterm 0 without f
-    # the transforms write into buffers of their own; a single row goes in
-    # as the first of two, over a zero row that stays zero (see spectral)
-    one_row = states[0].size == n_modes
-    coeffs = np.zeros((2, n_modes)) if one_row else None
-    grid = np.zeros((2 if one_row else shape[0], 2 * n_modes))
-    fterm = np.zeros(grid.shape[:-1] + (n_modes,))
-    if one_row:                               # the path's row of each, as a state
-        coeffs_row, fterm_rows = coeffs[0].reshape(shape), fterm[0].reshape(shape)
-        grid_rows = grid[0].reshape(shape[:-1] + (2 * n_modes,))
-    else:
-        fterm_rows, grid_rows = fterm, grid
-    if f is None:
-        fterm_rows = 0.0
-    with np.errstate(invalid="ignore"):       # steps after a bad one meet inf
+    # the transforms read n_rows rows of the buffer, a batch's u^{n-1} or one
+    # path's u^{n-1} over row n, its noise forcing, and write into buffers of
+    # their own; row n's results are never read, and a row's bits do not
+    # depend on its neighbours (see spectral)
+    grid, fterm = np.zeros((n_rows, 2 * n_modes)), np.zeros((n_rows, n_modes))
+    grid_rows = grid[:width].reshape(shape[:-1] + (2 * n_modes,))    # the paths' rows
+    fterm_rows = 0.0 if f is None else fterm[:width].reshape(shape)
+    # steps after a bad one meet inf, and one path's row n can overflow a
+    # transform when no state does
+    with np.errstate(over="ignore", invalid="ignore"):
         for n, far in enumerate(_far_history_sums(rows, weights), 1):
             if f is not None:
-                if one_row:
-                    coeffs_row[...] = states[n - 1]
-                spectral.synthesize(coeffs if one_row else states[n - 1], 2 * n_modes,
-                                    out=grid)
+                spectral.synthesize(states[n - 1:n + 1].reshape(-1, n_modes)[:n_rows],
+                                    2 * n_modes, out=grid)
                 if isinstance(f, np.ufunc):
                     f(grid_rows, out=grid_rows)
                 else:

@@ -19,21 +19,24 @@ synthesis is c @ B, with B of shape (N, M), and projection is
 v @ B.T / (M+1), with B.T kept as its own C-contiguous (M, N) copy.  The
 two hold 8*N*M bytes each, 16*N^2 on the solver's M = 2N grid.
 
-A row's result does not depend on how many rows are transformed with it.
-OpenBLAS gives a one-row product (gemv) and a product with a transposed
-operand at small row counts other bits than a GEMM row, so the
-transposed matrix is a C-contiguous copy and one row goes through a
-two-row product with a zero row.  Rows are the entries of the leading
-axes, so a path stepped alone and the same path in a batch get the same
-bits.
+A row's result does not depend on how many rows are transformed with it,
+nor on what the other rows hold: OpenBLAS gives a GEMM row the same bits
+beside rows of zeros, huge values or NaN.  It gives a one-row product
+(gemv) and a product with a transposed operand at small row counts other
+bits than a GEMM row, so the transposed matrix is a C-contiguous copy
+and a public one-row call goes through a two-row product with a zero
+row.  Rows are the entries of the leading axes, so a path stepped alone
+and the same path in a batch get the same bits.  The self-test checks
+both properties on the installed BLAS.
 
 Both transforms take a keyword-only ``out``, a writeable C-contiguous
 float64 array of the result's shape, which the GEMM writes in place and
-which is returned.  The stepper passes its own buffers, and for one path
-a two-row input whose second row is zero, so a step allocates no array
-for either transform.  At N = 128 on a 2N grid a transform of a two-row
-input took 6-9 us, 4-6 us of it the GEMM, which reads the whole 256 KB
-matrix (2 vCPU, numpy 2.4, OpenBLAS 0.3.31).
+which is returned.  The stepper passes its own buffers, and never one
+row: a single path's state goes in over the next row of its buffer, two
+real rows, and relies on row independence.  So a step allocates no
+array for either transform.  At N = 128 on a 2N grid a transform of a
+two-row input took 6-9 us, 4-6 us of it the GEMM, which reads the whole
+256 KB matrix (2 vCPU, numpy 2.4, OpenBLAS 0.3.31).
 
 Projecting a *nonlinear* function of a field is only alias-free when the
 grid oversamples the modes; ``project`` therefore rejects N > M/2.

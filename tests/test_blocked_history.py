@@ -77,7 +77,7 @@ def test_ensemble_rows_match_trajectory_runs(nonlinearity, n_steps):
 
 
 @pytest.mark.parametrize("nonlinearity", ["sin", "zero"])
-@pytest.mark.parametrize(("n_modes", "n_steps"), [(5, 300), (17, 40)])
+@pytest.mark.parametrize(("n_modes", "n_steps"), [(5, 300), (17, 40), (1, 17)])
 def test_a_path_has_the_same_bits_in_every_batch(n_modes, n_steps, nonlinearity):
     # flat widths n_traj * N on both sides of the 8-column pad, step counts
     # across the 16-step block, and 300 steps across the 256-state panel

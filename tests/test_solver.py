@@ -214,6 +214,41 @@ def test_custom_nonlinearity():
     np.testing.assert_allclose(quiet, plain, atol=1e-15)
 
 
+def test_a_callable_nonlinearity_sees_the_paths_grid_values_only():
+    # a single path's transforms take two rows of its buffer, but f gets
+    # the path's (2N,) grid, and a batch's f its (n_traj, 2N) grid
+    seen = []
+
+    def record(values):
+        seen.append(values.shape)
+        return np.sin(values)
+
+    params, rng = _params(nonlinearity=record), np.random.default_rng(14)
+    disc = Discretization(n_modes=5, n_steps=3, tau=0.001)
+    solver.run_trajectory(params, disc, rng.standard_normal((3, 5)))
+    assert seen == [(10,)] * 3
+    for n_traj in (1, 3):
+        seen.clear()
+        solver.run_ensemble(params, disc, rng.standard_normal((3, n_traj, 5)))
+        assert seen == [(n_traj, 10)] * 3
+
+
+def test_a_path_keeps_its_bits_beside_a_forcing_that_overflows_a_transform():
+    # a single path transforms u^{n-1} over row n, its noise forcing, which
+    # here overflows the projection that no state overflows
+    params = _params(m=0.0, t_final=0.64)
+    disc = Discretization(n_modes=64, n_steps=64, tau=0.01)
+    rng = np.random.default_rng(0)
+    inc = 1.25e304 * (1 + 0.01 * rng.standard_normal((64, 64)))   # forcing ~1.25e306
+    states = np.empty((65, 2, 64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = solver.run_trajectory(params, disc, inc)
+        solver.run_ensemble(params, disc, np.stack([inc, inc], axis=1), out=states)
+    assert np.isfinite(path).all()
+    np.testing.assert_array_equal(path, states[:, 0])
+
+
 def test_overflow_raises_with_location():
     params = _params(m=0.0)
     disc = Discretization(n_modes=2, n_steps=3, tau=0.001)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.fft import dst
 
-from fracspde import spectral
+from fracspde import experiments, selftest, spectral
 
 
 def test_eigenvalues():
@@ -95,6 +95,63 @@ def test_a_row_has_the_same_bits_in_every_batch(n_modes):
     for i in (0, 29):
         np.testing.assert_array_equal(spectral.synthesize(coeffs[i], 2 * n_modes), values[i])
         np.testing.assert_array_equal(spectral.project(grid[i], n_modes), back[i])
+
+
+NEIGHBOUR_MODES = [*range(1, 40), 63, 64, 65, 100, 127, 128, 129, 200, 256, 300, 512]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_row_keeps_its_bits_whatever_its_neighbour_holds(threads):
+    # the stepper transforms a single path's state over the next row of its
+    # buffer, a noise forcing that may be huge or NaN: row 0 of a two-row
+    # transform must have the bits of the one-row call, which pads with 0
+    functions = experiments._openblas_thread_functions()
+    if functions is None:
+        pytest.skip("numpy's BLAS does not export openblas_set_num_threads")
+    get_threads, set_threads = functions
+    before = get_threads()
+    set_threads(threads)
+    try:
+        for n_modes in NEIGHBOUR_MODES:
+            rng = np.random.default_rng(n_modes)
+            coeffs = rng.standard_normal((2, n_modes))
+            grid = np.sin(rng.standard_normal((2, 2 * n_modes)))
+            alone = (spectral.synthesize(coeffs[0], 2 * n_modes),
+                     spectral.project(grid[0], n_modes))
+            for name, neighbour in [("0", np.zeros(2 * n_modes)),
+                                    ("-0.0", np.full(2 * n_modes, -0.0)),
+                                    ("random", rng.standard_normal(2 * n_modes)),
+                                    ("+-1e300", rng.choice([-1e300, 1e300], 2 * n_modes)),
+                                    ("nan", np.full(2 * n_modes, np.nan))]:
+                coeffs[1], grid[1] = neighbour[:n_modes], neighbour
+                np.testing.assert_array_equal(
+                    spectral.synthesize(coeffs, 2 * n_modes)[0], alone[0],
+                    err_msg=f"synthesize, N={n_modes}, neighbour {name}")
+                np.testing.assert_array_equal(
+                    spectral.project(grid, n_modes)[0], alone[1],
+                    err_msg=f"project, N={n_modes}, neighbour {name}")
+    finally:
+        set_threads(before)
+
+
+def test_selftest_catches_a_row_that_depends_on_its_neighbour(monkeypatch, capsys):
+    assert selftest.run() == 0
+    out = capsys.readouterr().out
+    assert "ok   spectral transform rows: row 0 of 2 keeps its bits" in out
+    exact = spectral._rows_times
+
+    def mixing(values, matrix, out):
+        out = exact(values, matrix, out)
+        rows = out.reshape(-1, matrix.shape[1])
+        if len(rows) > 1:
+            rows[0] += 1e-12 * rows[1]
+        return out
+
+    monkeypatch.setattr(spectral, "_rows_times", mixing)
+    assert selftest.run() == 1
+    out = capsys.readouterr().out
+    assert "FAIL spectral transform rows: synthesize of row 0 changes beside a row of" in out
+    assert "selftest failed: spectral transform rows" in out
 
 
 @settings(max_examples=25, deadline=None)
